@@ -1,42 +1,36 @@
 """Hot numeric kernels: masked softmax, GELU, layer norm, AdamW update.
 
-Every kernel has a numba ``@njit`` implementation and a pure-numpy one.
-``MOODLYRICS_KERNELS`` selects the path:
-
-  auto   (default) per-kernel winners measured on single-core hosts: the
-         fused layer-norm loops run jitted, the transcendental-heavy
-         kernels stay on numpy's SIMD implementations
-  numba  every kernel jitted
-  numpy  pure-numpy fallback everywhere (also used when numba is absent)
-
-Matrix multiplies stay in numpy (BLAS) in all modes. Within one process the
-selection is fixed, so results are deterministic run to run;
-``benchmarks/bench_kernels.py`` compares the two paths per kernel.
-
-GELU uses the tanh approximation, so values differ from the erf form in the
-last few ulps.
+Each kernel is one numpy implementation; matrix multiplies stay in numpy
+(BLAS). GELU uses the tanh approximation, so values differ from the erf
+form in the last few ulps.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
-# kernels where the jitted loop beats numpy on a single core (fused
-# arithmetic + sqrt, no libm calls numpy can vectorize better)
-_AUTO_JIT = frozenset({"layer_norm", "layer_norm_grad"})
+KERNEL_NAMES = (
+    "masked_softmax",
+    "gelu",
+    "gelu_grad",
+    "layer_norm",
+    "layer_norm_grad",
+    "adamw_update",
+)
+
+# the kernel path recorded in run environments; numpy is the only one
+MODE = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def selected_backends() -> dict[str, str]:
+    """Which implementation each kernel is bound to."""
+    return dict.fromkeys(KERNEL_NAMES, MODE)
 
-def masked_softmax_numpy(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
+
+def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax of [B, heads, Lq, Lk] scores over unmasked keys.
 
     ``key_mask`` is [B, Lk]; masked key positions get probability exactly 0.
@@ -50,12 +44,12 @@ def masked_softmax_numpy(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray
     return probs
 
 
-def gelu_numpy(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray) -> np.ndarray:
     inner = _GELU_C * (x + _GELU_A * x * x * x)
     return (0.5 * x * (1.0 + np.tanh(inner))).astype(x.dtype, copy=False)
 
 
-def gelu_grad_numpy(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def gelu_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     inner = _GELU_C * (x + _GELU_A * x * x * x)
     t = np.tanh(inner)
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (
@@ -64,7 +58,7 @@ def gelu_grad_numpy(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return (dy * local).astype(x.dtype, copy=False)
 
 
-def layer_norm_numpy(
+def layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize the last axis of [N, H]. Returns (y, xhat, inv_std)."""
@@ -81,7 +75,7 @@ def layer_norm_numpy(
     )
 
 
-def layer_norm_grad_numpy(
+def layer_norm_grad(
     dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward of layer_norm over [N, H]. Returns (dx, dgain, dbias)."""
@@ -94,7 +88,7 @@ def layer_norm_grad_numpy(
     return dx.astype(dy.dtype, copy=False), dgain, dbias
 
 
-def adamw_update_numpy(
+def adamw_update(
     param: np.ndarray,
     grad: np.ndarray,
     m: np.ndarray,
@@ -115,239 +109,3 @@ def adamw_update_numpy(
     m_hat = m / bias_c1
     v_hat = v / bias_c2
     param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
-
-
-# ---------------------------------------------------------------------------
-# backend selection and numba implementations
-# ---------------------------------------------------------------------------
-
-KERNEL_NAMES = (
-    "masked_softmax",
-    "gelu",
-    "gelu_grad",
-    "layer_norm",
-    "layer_norm_grad",
-    "adamw_update",
-)
-
-MODE = os.environ.get("MOODLYRICS_KERNELS", "auto").strip().lower() or "auto"
-if MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"MOODLYRICS_KERNELS must be auto, numba, or numpy, got {MODE!r}"
-    )
-
-JIT_AVAILABLE = False
-if MODE != "numpy":
-    try:
-        from numba import njit
-
-        JIT_AVAILABLE = True
-    except ImportError:
-        if MODE == "numba":
-            warnings.warn("numba not importable; falling back to numpy kernels")
-
-if MODE == "numba" and JIT_AVAILABLE:
-    _JITTED = frozenset(KERNEL_NAMES)
-elif MODE == "auto" and JIT_AVAILABLE:
-    _JITTED = _AUTO_JIT
-else:
-    _JITTED = frozenset()
-
-BACKEND = MODE if JIT_AVAILABLE or MODE == "numpy" else "numpy"
-
-
-def selected_backends() -> dict[str, str]:
-    """Which implementation each kernel is bound to."""
-    return {name: ("numba" if name in _JITTED else "numpy") for name in KERNEL_NAMES}
-
-
-if JIT_AVAILABLE:
-
-    @njit(cache=True)
-    def _masked_softmax_jit(scores, key_mask):
-        batch, heads, len_q, len_k = scores.shape
-        out = np.empty_like(scores)
-        for b in range(batch):
-            for h in range(heads):
-                for i in range(len_q):
-                    hi = -np.inf
-                    for k in range(len_k):
-                        if key_mask[b, k] > 0 and scores[b, h, i, k] > hi:
-                            hi = scores[b, h, i, k]
-                    total = 0.0
-                    for k in range(len_k):
-                        if key_mask[b, k] > 0:
-                            e = np.exp(scores[b, h, i, k] - hi)
-                            out[b, h, i, k] = e
-                            total += e
-                        else:
-                            out[b, h, i, k] = 0.0
-                    inv = 1.0 / total
-                    for k in range(len_k):
-                        out[b, h, i, k] *= inv
-        return out
-
-    @njit(cache=True)
-    def _gelu_jit(x, out):
-        for i in range(x.shape[0]):
-            xi = x[i]
-            inner = _GELU_C * (xi + _GELU_A * xi * xi * xi)
-            out[i] = 0.5 * xi * (1.0 + np.tanh(inner))
-
-    @njit(cache=True)
-    def _gelu_grad_jit(x, dy, out):
-        for i in range(x.shape[0]):
-            xi = x[i]
-            inner = _GELU_C * (xi + _GELU_A * xi * xi * xi)
-            t = np.tanh(inner)
-            local = 0.5 * (1.0 + t) + 0.5 * xi * (1.0 - t * t) * _GELU_C * (
-                1.0 + 3.0 * _GELU_A * xi * xi
-            )
-            out[i] = dy[i] * local
-
-    @njit(cache=True)
-    def _layer_norm_jit(x, gain, bias, eps, y, xhat, inv_std):
-        n, h = x.shape
-        for row in range(n):
-            mean = 0.0
-            for col in range(h):
-                mean += x[row, col]
-            mean /= h
-            var = 0.0
-            for col in range(h):
-                d = x[row, col] - mean
-                var += d * d
-            var /= h
-            inv = 1.0 / np.sqrt(var + eps)
-            inv_std[row] = inv
-            for col in range(h):
-                xh = (x[row, col] - mean) * inv
-                xhat[row, col] = xh
-                y[row, col] = xh * gain[col] + bias[col]
-
-    @njit(cache=True)
-    def _layer_norm_grad_jit(dy, xhat, inv_std, gain, dx, dgain, dbias):
-        n, h = dy.shape
-        for col in range(h):
-            dgain[col] = 0.0
-            dbias[col] = 0.0
-        for row in range(n):
-            for col in range(h):
-                dgain[col] += dy[row, col] * xhat[row, col]
-                dbias[col] += dy[row, col]
-        for row in range(n):
-            mean_dxhat = 0.0
-            mean_dxhat_xhat = 0.0
-            for col in range(h):
-                dxh = dy[row, col] * gain[col]
-                mean_dxhat += dxh
-                mean_dxhat_xhat += dxh * xhat[row, col]
-            mean_dxhat /= h
-            mean_dxhat_xhat /= h
-            for col in range(h):
-                dxh = dy[row, col] * gain[col]
-                dx[row, col] = inv_std[row] * (
-                    dxh - mean_dxhat - xhat[row, col] * mean_dxhat_xhat
-                )
-
-    @njit(cache=True)
-    def _adamw_update_jit(
-        param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2
-    ):
-        for i in range(param.shape[0]):
-            g = grad[i]
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-            m_hat = m[i] / bias_c1
-            v_hat = v[i] / bias_c2
-            param[i] -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param[i])
-
-
-# ---------------------------------------------------------------------------
-# public API: shape-handling wrappers bound to the selected backend
-# ---------------------------------------------------------------------------
-
-def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
-    if "masked_softmax" in _JITTED:
-        return _masked_softmax_jit(
-            np.ascontiguousarray(scores), np.ascontiguousarray(key_mask)
-        )
-    return masked_softmax_numpy(scores, key_mask)
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    if "gelu" in _JITTED:
-        flat = np.ascontiguousarray(x).reshape(-1)
-        out = np.empty_like(flat)
-        _gelu_jit(flat, out)
-        return out.reshape(x.shape)
-    return gelu_numpy(x)
-
-
-def gelu_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    if "gelu_grad" in _JITTED:
-        flat_x = np.ascontiguousarray(x).reshape(-1)
-        flat_dy = np.ascontiguousarray(dy).reshape(-1)
-        out = np.empty_like(flat_x)
-        _gelu_grad_jit(flat_x, flat_dy, out)
-        return out.reshape(x.shape)
-    return gelu_grad_numpy(x, dy)
-
-
-def layer_norm(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if "layer_norm" in _JITTED:
-        x = np.ascontiguousarray(x)
-        y = np.empty_like(x)
-        xhat = np.empty_like(x)
-        inv_std = np.empty(x.shape[0], dtype=x.dtype)
-        _layer_norm_jit(x, gain, bias, eps, y, xhat, inv_std)
-        return y, xhat, inv_std
-    return layer_norm_numpy(x, gain, bias, eps)
-
-
-def layer_norm_grad(
-    dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if "layer_norm_grad" in _JITTED:
-        dy = np.ascontiguousarray(dy)
-        dx = np.empty_like(dy)
-        dgain = np.empty_like(gain)
-        dbias = np.empty_like(gain)
-        _layer_norm_grad_jit(dy, xhat, inv_std, gain, dx, dgain, dbias)
-        return dx, dgain, dbias
-    return layer_norm_grad_numpy(dy, xhat, inv_std, gain)
-
-
-def adamw_update(
-    param: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
-    weight_decay: float,
-    bias_c1: float,
-    bias_c2: float,
-) -> None:
-    if "adamw_update" in _JITTED:
-        _adamw_update_jit(
-            param.reshape(-1),
-            np.ascontiguousarray(grad).reshape(-1),
-            m.reshape(-1),
-            v.reshape(-1),
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-            bias_c1,
-            bias_c2,
-        )
-        return
-    adamw_update_numpy(
-        param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2
-    )

@@ -140,19 +140,25 @@ def load_nb(path: str | Path) -> NaiveBayesModel:
     path = Path(path)
     if not path.is_file():
         raise BaselineError(f"model file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise BaselineError(f"model file is not UTF-8: {path}") from None
     if not lines or lines[0] != NB_FORMAT:
         raise BaselineError(f"not a Naive Bayes model file: {path}")
-    alpha = float(lines[1].split("\t")[1])
-    priors = np.array([float(v) for v in lines[3].split("\t")[1:]])
     vocabulary: dict[str, int] = {}
     rows = []
-    for line in lines[4:]:
-        fields = line.split("\t")
-        if fields[0] != "word" or len(fields) != 2 + len(MoodLabel):
-            raise BaselineError(f"malformed model line: {line!r}")
-        vocabulary[fields[1]] = len(rows)
-        rows.append([float(v) for v in fields[2:]])
+    try:
+        alpha = float(lines[1].split("\t")[1])
+        priors = np.array([float(v) for v in lines[3].split("\t")[1:]])
+        for line in lines[4:]:
+            fields = line.split("\t")
+            if fields[0] != "word" or len(fields) != 2 + len(MoodLabel):
+                raise BaselineError(f"malformed model line: {line!r}")
+            vocabulary[fields[1]] = len(rows)
+            rows.append([float(v) for v in fields[2:]])
+    except (IndexError, ValueError):
+        raise BaselineError(f"malformed model file: {path}") from None
     return NaiveBayesModel(
         vocabulary=vocabulary,
         log_priors=priors,

@@ -124,13 +124,10 @@ _MODEL_KEYS = {
     "ffn_size": int,
     "dropout_rate": float,
 }
+
+
 def _parse_class_weights(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(
-            f"class_weights expects comma-separated numbers, got {text!r}"
-        ) from None
+    return tuple(float(part) for part in text.split(","))
 
 
 _TRAIN_KEYS = {
@@ -169,6 +166,13 @@ def _read_config_pairs(args) -> dict[str, str]:
     return pairs
 
 
+def _parse_value(key: str, raw: str, parse):
+    try:
+        return parse(raw)
+    except ValueError:
+        raise UsageError(f"cannot parse {key}={raw!r}") from None
+
+
 def _route_config(pairs: dict[str, str]) -> tuple[dict, dict, dict, dict]:
     tok_kw: dict = {}
     model_kw: dict = {}
@@ -176,13 +180,13 @@ def _route_config(pairs: dict[str, str]) -> tuple[dict, dict, dict, dict]:
     base_kw: dict = {}
     for key, raw in pairs.items():
         if key in _TOKENIZER_KEYS:
-            tok_kw[key] = _TOKENIZER_KEYS[key](raw)
+            tok_kw[key] = _parse_value(key, raw, _TOKENIZER_KEYS[key])
         elif key in _MODEL_KEYS:
-            model_kw[key] = _MODEL_KEYS[key](raw)
+            model_kw[key] = _parse_value(key, raw, _MODEL_KEYS[key])
         elif key in _TRAIN_KEYS:
-            train_kw[key] = _TRAIN_KEYS[key](raw)
+            train_kw[key] = _parse_value(key, raw, _TRAIN_KEYS[key])
         elif key in _BASELINE_KEYS:
-            base_kw[key] = _BASELINE_KEYS[key](raw)
+            base_kw[key] = _parse_value(key, raw, _BASELINE_KEYS[key])
         elif key == "seed":
             raise UsageError("set the seed with the --seed flag, not the config file")
         else:
@@ -201,7 +205,7 @@ def _parse_synthetic(spec: str) -> dict[str, int]:
         key = key.strip()
         if key not in options:
             raise UsageError(f"unknown --synthetic option {key!r}")
-        options[key] = int(value)
+        options[key] = _parse_value(key, value, int)
     return options
 
 
@@ -445,7 +449,8 @@ def _sniff_checkpoint(path: str | Path) -> str:
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"checkpoint not found: {path}")
-    head = path.open("rb").read(32)
+    with path.open("rb") as handle:
+        head = handle.read(32)
     if head[:4] == b"MLCP":
         return "bert"
     if head.startswith(b"moodlyrics-nb"):

@@ -251,21 +251,18 @@ _FILLER_WORDS = ("আমি", "তুমি", "আমার", "তোমার",
 _CATEGORIES = ("modern", "folk", "film", "classical", "")
 
 
-def synthesize_corpus(
-    seed: int, per_class: int, vocab_hint: tuple[str, ...] = ()
-) -> Corpus:
+def synthesize_corpus(seed: int, per_class: int) -> Corpus:
     """Generate ``per_class`` records per mood from mood-exclusive keyword
     pools plus shared fillers. Deterministic per seed."""
     if per_class < 1:
         raise CorpusError(f"per_class must be >= 1, got {per_class}")
     rng = random.Random(seed)
-    fillers = _FILLER_WORDS + tuple(vocab_hint)
     records = []
     for index in range(per_class):
         for mood in MoodLabel:
             pool = _MOOD_KEYWORDS[mood]
             words = [rng.choice(pool) for _ in range(rng.randint(3, 5))]
-            words += [rng.choice(fillers) for _ in range(rng.randint(4, 8))]
+            words += [rng.choice(_FILLER_WORDS) for _ in range(rng.randint(4, 8))]
             rng.shuffle(words)
             mid = max(1, len(words) // 2)
             lyrics = " ".join(words[:mid]) + "\n" + " ".join(words[mid:]) + "।"

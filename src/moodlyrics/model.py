@@ -154,26 +154,6 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Single-head scaled dot-product attention over [len, d_head] arrays.
-
-    Masked (pad) key positions receive probability exactly zero; each row's
-    weights over unmasked keys sum to 1.
-    """
-    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
-    mask = np.asarray(mask)
-    if mask.sum() == 0:
-        raise ModelError("attention mask has no unmasked positions")
-    d_head = q.shape[-1]
-    scores = (q @ k.T) / np.sqrt(d_head)
-    probs = _kernels.masked_softmax(
-        scores[None, None], mask[None].astype(np.float64)
-    )[0, 0]
-    return probs @ v
-
-
 def _stack_batch(
     batch, config: ModelConfig, dtype
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -541,13 +521,19 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
     data = path.read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ModelError(f"not a model checkpoint: {path}")
+    if len(data) < 12:
+        raise ModelError(f"truncated checkpoint: {path}")
     version, header_len = struct.unpack("<II", data[4:12])
     if version != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {version}")
-    header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    config = ModelConfig(**header["model"])
+    try:
+        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
+        config = ModelConfig(**header["model"])
+        listed = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
+        vocab_hash = header["vocab_sha256"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
     expected = param_shapes(config)
-    listed = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
     if listed != expected:
         raise ModelError("checkpoint arrays do not match the stored config")
     arrays: dict[str, np.ndarray] = {}
@@ -564,4 +550,4 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
         offset += 4 * count
     if offset != len(data):
         raise ModelError(f"trailing bytes in checkpoint: {path}")
-    return Parameters(config, arrays), header["vocab_sha256"], header.get("tokenizer")
+    return Parameters(config, arrays), vocab_hash, header.get("tokenizer")

@@ -190,9 +190,19 @@ class TestSerialization:
             assert label_a is label_b
             assert np.array_equal(post_a, post_b)
 
-    def test_rejects_garbage_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"hello",
+            b"moodlyrics-nb v1\n",
+            b"moodlyrics-nb v1\nalpha\tabc\nclasses\npriors\t0\t0\t0\t0\n",
+            b"moodlyrics-nb v1\nalpha\t1.0\n\xff\xfe\n",
+        ],
+        ids=["not-a-model", "format-line-only", "alpha-not-float", "not-utf8"],
+    )
+    def test_rejects_garbage_file(self, tmp_path, data):
         path = tmp_path / "bad.nb"
-        path.write_text("hello", encoding="utf-8")
+        path.write_bytes(data)
         with pytest.raises(BaselineError):
             load_nb(path)
 

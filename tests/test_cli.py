@@ -102,10 +102,23 @@ class TestTrain:
             run(["train", "--input", corpus_csv, "--model", "svm", "--out", tmp_path])
         assert excinfo.value.code == 2
 
-    def test_unknown_config_key_exits_2(self, corpus_csv, tmp_path, capsys):
-        assert run(["train", "--input", corpus_csv, "--model", "nb",
-                    "--out", tmp_path / "o", "--set", "bogus=1"]) == 2
-        assert "bogus" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["train", "--model", "nb", "--set", "bogus=1"], "bogus"),
+            (["train", "--model", "bert", "--set", "epochs=abc"], "epochs='abc'"),
+            (["train", "--model", "nb", "--set", "alpha=abc"], "alpha='abc'"),
+            (["ingest", "--synthetic", "seed=x"], "seed='x'"),
+        ],
+        ids=["bogus", "epochs-not-int", "alpha-not-float", "synthetic-seed-not-int"],
+    )
+    def test_unknown_config_key_exits_2(self, corpus_csv, tmp_path, capsys, argv, named):
+        if argv[0] == "train":
+            argv = [*argv, "--input", corpus_csv]
+        assert run([*argv, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_class_weights_flag(self, corpus_csv, tmp_path):
         out = tmp_path / "o"

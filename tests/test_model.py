@@ -1,13 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from moodlyrics import _kernels
 from moodlyrics.corpus import MoodLabel
 from moodlyrics.errors import ModelError
 from moodlyrics.model import (
     ModelConfig,
-    attention,
     backward,
     cross_entropy,
     forward,
@@ -19,6 +20,31 @@ from moodlyrics.model import (
     softmax,
 )
 from moodlyrics.tokenizer import TokenizerConfig, encode
+
+
+def attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Single-head scaled dot-product attention over [len, d_head] arrays.
+
+    Masked (pad) key positions receive probability exactly zero; each row's
+    weights over unmasked keys sum to 1.
+    """
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    mask = np.asarray(mask)
+    if mask.sum() == 0:
+        raise ModelError("attention mask has no unmasked positions")
+    d_head = q.shape[-1]
+    scores = (q @ k.T) / np.sqrt(d_head)
+    probs = _kernels.masked_softmax(
+        scores[None, None], mask[None].astype(np.float64)
+    )[0, 0]
+    return probs @ v
+
+
+def checkpoint_container(header: bytes) -> bytes:
+    """Checkpoint magic, version 1 and the given raw header, no arrays."""
+    return b"MLCP" + struct.pack("<II", 1, len(header)) + header
 
 
 def batch_from(synth32, vocab32, tok_config, count):
@@ -345,9 +371,22 @@ class TestCheckpoint:
         for name in params32.arrays:
             assert np.array_equal(loaded[name], params32[name])
 
-    def test_rejects_garbage(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"not a checkpoint",
+            b"MLCP\x01\x00",
+            checkpoint_container(b"{not json"),
+            checkpoint_container(
+                b'{"model":{"vocab_size":8,"max_positions":8,"bogus":1}}'
+            ),
+        ],
+        ids=["not-a-checkpoint", "shorter-than-12-bytes", "header-not-json",
+             "unknown-model-key"],
+    )
+    def test_rejects_garbage(self, tmp_path, data):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"not a checkpoint")
+        path.write_bytes(data)
         with pytest.raises(ModelError):
             load_checkpoint(path)
 
