@@ -1,0 +1,29 @@
+"""Whole-file writes that never leave a half-written target.
+
+The bytes go to a sibling temporary file in the target's directory, which
+``os.replace`` then renames over the target in one step. An interrupted or
+failed write leaves the previous file as it was and removes the temporary
+one. There is no fsync: this guards against a process that stops mid-write,
+not against power loss.
+"""
+
+from __future__ import annotations
+
+import os
+from collections.abc import Iterable
+from pathlib import Path
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> Path:
+    """Write the concatenated ``chunks`` to ``path`` atomically."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .corpus import Corpus, MoodLabel, clean_text
 from .errors import BaselineError
 from .model import softmax
@@ -122,7 +123,6 @@ def nb_predict(model: NaiveBayesModel, text: str) -> tuple[MoodLabel, np.ndarray
 
 
 def save_nb(model: NaiveBayesModel, path: str | Path) -> Path:
-    path = Path(path)
     lines = [
         NB_FORMAT,
         f"alpha\t{model.alpha!r}",
@@ -132,8 +132,7 @@ def save_nb(model: NaiveBayesModel, path: str | Path) -> Path:
     for word, row in sorted(model.vocabulary.items(), key=lambda item: item[1]):
         values = "\t".join(repr(float(v)) for v in model.log_likelihood[row])
         lines.append(f"word\t{word}\t{values}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def load_nb(path: str | Path) -> NaiveBayesModel:

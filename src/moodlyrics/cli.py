@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baseline, evaluation
+from ._atomic import write_atomic
 from .analytics import density_curve, emit_plot, freq_dist, lexical_stats
 from .corpus import (
     Corpus,
@@ -75,12 +76,8 @@ class RunManifest:
 
     def save(self, out_dir: Path, started: float) -> Path:
         self.duration_seconds = time.perf_counter() - started
-        path = out_dir / "manifest.json"
-        path.write_text(
-            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+        text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return write_atomic(out_dir / "manifest.json", [text.encode("utf-8")])
 
 
 def _sha256_file(path: str | Path) -> str:

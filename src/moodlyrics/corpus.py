@@ -116,11 +116,25 @@ def clean_text(raw: str) -> str:
     return " ".join(text.split())
 
 
+def _csv_rows(fh, path: Path):
+    """The CSV reader's rows, with its decode and parse errors raised as
+    :class:`CorpusError` naming the file."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise CorpusError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def load_corpus(path: str | Path) -> tuple[Corpus, DropReport]:
     """Load a corpus CSV, dropping and counting invalid rows.
 
-    Raises :class:`CorpusError` on a missing file, a header that is not
-    exactly ``title,category,lyrics,mood``, or zero surviving rows.
+    Raises :class:`CorpusError` on a missing file, bytes that are not UTF-8,
+    a row the CSV reader rejects (such as a field over its size limit), a
+    header that is not exactly ``title,category,lyrics,mood``, or zero
+    surviving rows.
     """
     path = Path(path)
     if not path.is_file():
@@ -128,7 +142,7 @@ def load_corpus(path: str | Path) -> tuple[Corpus, DropReport]:
     records: list[SongRecord] = []
     report = DropReport()
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:

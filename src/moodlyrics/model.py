@@ -7,6 +7,16 @@ everything exact backpropagation needs; dropout runs only in train mode
 from a caller-supplied generator, and the recorded masks are replayed in
 backward.
 
+Examples keep their fixed encoded length, but each one runs through the
+encoder at its own bucket length: its last unmasked position + 1, rounded
+up to a multiple of ``BUCKET_MULTIPLE`` (8) and capped at the encoded
+length. ``forward`` groups a batch by bucket and ``backward`` sums the
+groups' gradients. Positions at or past the bucket are masked keys, which
+get probability exactly 0 and feed nothing into the first position, so
+the result equals the full-length computation up to float rounding. The
+bucket depends on the example alone, so an example's logits do not depend
+on its batch-mates.
+
 Checkpoints are a versioned binary container: JSON header (config, vocab
 hash, array index) followed by every parameter array as little-endian
 float32, validated against the config on load.
@@ -22,11 +32,15 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from ._atomic import write_atomic
 from .corpus import MoodLabel
 from .errors import ModelError
 from .tokenizer import EncodedExample
 
 LN_EPS = 1e-5
+
+# bucket lengths are multiples of this (see _bucket_lengths)
+BUCKET_MULTIPLE = 8
 
 CHECKPOINT_MAGIC = b"MLCP"
 CHECKPOINT_VERSION = 1
@@ -176,17 +190,38 @@ def _stack_batch(
     return ids, mask.astype(dtype)
 
 
+def _bucket_lengths(mask: np.ndarray) -> np.ndarray:
+    """Per-row bucket: last unmasked position + 1, rounded up to a multiple
+    of BUCKET_MULTIPLE and capped at the encoded length."""
+    length = mask.shape[1]
+    ends = length - np.argmax(mask[:, ::-1] != 0, axis=1)
+    rounded = -(-ends // BUCKET_MULTIPLE) * BUCKET_MULTIPLE
+    return np.minimum(rounded, length)
+
+
+@dataclass
+class BucketTrace:
+    """Backward cache of the examples that ran at one bucket length."""
+
+    index: np.ndarray  # their positions in the batch
+    ids: np.ndarray  # [count, bucket]
+    emb_drop: np.ndarray | None
+    layers: list[dict]
+    h_cls: np.ndarray
+
+
 @dataclass
 class ForwardTrace:
-    """Logits plus every intermediate needed for exact backpropagation."""
+    """Logits plus every intermediate needed for exact backpropagation.
+
+    ``ids`` is the batch trimmed to its longest bucket; ``buckets`` holds
+    one cache per distinct bucket length, in ascending order.
+    """
 
     logits: np.ndarray
     mode: str
     ids: np.ndarray
-    maskf: np.ndarray
-    emb_drop: np.ndarray | None
-    layers: list[dict]
-    h_cls: np.ndarray
+    buckets: list[BucketTrace]
 
 
 def _dropout_mask(shape, rate: float, rng, dtype) -> np.ndarray:
@@ -204,29 +239,58 @@ def forward(
 
     ``mode`` is "train" or "eval"; train mode applies inverted dropout at
     the embedding output and after each sublayer projection, drawing masks
-    from ``rng``.
+    from ``rng`` bucket by bucket in ascending bucket order.
     """
     if mode not in ("train", "eval"):
         raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
-    dtype = params.dtype
-    ids, maskf = _stack_batch(batch, cfg, dtype)
+    ids, maskf = _stack_batch(batch, cfg, params.dtype)
     use_dropout = mode == "train" and cfg.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ModelError("train-mode forward with dropout needs an rng")
 
+    lengths = _bucket_lengths(maskf)
+    logits = np.empty((len(batch), cfg.num_classes), dtype=params.dtype)
+    buckets: list[BucketTrace] = []
+    for length in np.unique(lengths):
+        index = np.flatnonzero(lengths == length)
+        bucket, bucket_logits = _bucket_forward(
+            params, index, ids[index, :length], maskf[index, :length],
+            rng if use_dropout else None,
+        )
+        logits[index] = bucket_logits
+        buckets.append(bucket)
+    if not np.all(np.isfinite(logits)):
+        raise ModelError("forward pass produced non-finite logits")
+    return ForwardTrace(
+        logits=logits, mode=mode, ids=ids[:, : lengths.max()], buckets=buckets
+    )
+
+
+def _bucket_forward(
+    params: Parameters,
+    index: np.ndarray,
+    ids: np.ndarray,
+    maskf: np.ndarray,
+    rng: np.random.Generator | None,
+) -> tuple[BucketTrace, np.ndarray]:
+    """Embedding, encoder layers and head over examples that share one
+    bucket length; ``rng`` is None when dropout is off."""
+    cfg = params.config
+    dtype = params.dtype
     batch_size, length = ids.shape
     rows = batch_size * length
     x = params["tok_emb"][ids] + params["pos_emb"][:length]
     emb_drop = None
-    if use_dropout:
+    if rng is not None:
         emb_drop = _dropout_mask(x.shape, cfg.dropout_rate, rng, np.dtype(dtype))
         x = x * emb_drop
     x3 = np.ascontiguousarray(x)
 
-    # All projections run as (B, L, H) @ (H, F) matmuls: one GEMM per
-    # example with a batch-independent shape, so a given example's logits
-    # are bit-identical whatever the rest of the batch contains.
+    # All projections run as (B, b, H) @ (H, F) matmuls: one GEMM per
+    # example at its own bucket length b, which depends on that example's
+    # mask alone, so its logits are bit-identical whatever the rest of the
+    # batch contains.
     scale = dtype.type(1.0 / np.sqrt(cfg.head_size))
     layer_traces: list[dict] = []
     for i in range(cfg.num_layers):
@@ -246,7 +310,7 @@ def forward(
         )
         attn_out = np.matmul(ctx3, params[f"{p}.attn.wo"]) + params[f"{p}.attn.bo"]
         drop1 = None
-        if use_dropout:
+        if rng is not None:
             drop1 = _dropout_mask(attn_out.shape, cfg.dropout_rate, rng, np.dtype(dtype))
             attn_out = attn_out * drop1
         y1_2d, xhat1, inv1 = _kernels.layer_norm(
@@ -259,7 +323,7 @@ def forward(
         a1 = _kernels.gelu(h1)
         ffn_out = np.matmul(a1, params[f"{p}.ffn.w2"]) + params[f"{p}.ffn.b2"]
         drop2 = None
-        if use_dropout:
+        if rng is not None:
             drop2 = _dropout_mask(ffn_out.shape, cfg.dropout_rate, rng, np.dtype(dtype))
             ffn_out = ffn_out * drop2
         y2_2d, xhat2, inv2 = _kernels.layer_norm(
@@ -280,12 +344,10 @@ def forward(
 
     h_cls = x3[:, 0, :]
     logits = np.matmul(h_cls[:, None, :], params["head.w"])[:, 0, :] + params["head.b"]
-    if not np.all(np.isfinite(logits)):
-        raise ModelError("forward pass produced non-finite logits")
-    return ForwardTrace(
-        logits=logits, mode=mode, ids=ids, maskf=maskf, emb_drop=emb_drop,
-        layers=layer_traces, h_cls=h_cls,
+    bucket = BucketTrace(
+        index=index, ids=ids, emb_drop=emb_drop, layers=layer_traces, h_cls=h_cls
     )
+    return bucket, logits
 
 
 def cross_entropy(
@@ -315,15 +377,11 @@ def backward(
     class_weights=None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the (optionally class-weighted) mean
-    cross-entropy loss for every parameter array."""
-    cfg = params.config
-    dtype = params.dtype
-    batch_size, length = trace.ids.shape
-    rows = batch_size * length
-    if trace.logits.shape[0] != len(labels):
+    cross-entropy loss for every parameter array, summed over the
+    trace's buckets."""
+    batch_size = trace.logits.shape[0]
+    if batch_size != len(labels):
         raise ModelError("trace and labels batch sizes differ")
-
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
 
     labels = np.asarray(labels, dtype=np.int64)
     d_logits = softmax(trace.logits.astype(np.float64))
@@ -333,10 +391,28 @@ def backward(
     else:
         weights = np.asarray(class_weights, dtype=np.float64)[labels]
         d_logits *= (weights / weights.sum())[:, None]
-    d_logits = d_logits.astype(dtype)
+    d_logits = d_logits.astype(params.dtype)
 
-    grads["head.w"] = trace.h_cls.T @ d_logits
-    grads["head.b"] = d_logits.sum(axis=0)
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for bucket in trace.buckets:
+        _bucket_backward(params, bucket, d_logits[bucket.index], grads)
+    return grads
+
+
+def _bucket_backward(
+    params: Parameters,
+    bucket: BucketTrace,
+    d_logits: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> None:
+    """Add one bucket's parameter gradients into ``grads``."""
+    cfg = params.config
+    dtype = params.dtype
+    batch_size, length = bucket.ids.shape
+    rows = batch_size * length
+
+    grads["head.w"] += bucket.h_cls.T @ d_logits
+    grads["head.b"] += d_logits.sum(axis=0)
     dh_cls = d_logits @ params["head.w"].T
 
     dx = np.zeros((batch_size, length, cfg.hidden_size), dtype=dtype)
@@ -346,29 +422,29 @@ def backward(
     scale = dtype.type(1.0 / np.sqrt(cfg.head_size))
     for i in reversed(range(cfg.num_layers)):
         p = f"layers.{i}"
-        t = trace.layers[i]
+        t = bucket.layers[i]
         dres2, dg2, db2 = _kernels.layer_norm_grad(
             dx2, t["xhat2"], t["inv2"], params[f"{p}.ln2.g"]
         )
-        grads[f"{p}.ln2.g"] = dg2
-        grads[f"{p}.ln2.b"] = db2
+        grads[f"{p}.ln2.g"] += dg2
+        grads[f"{p}.ln2.b"] += db2
         dffn_out = dres2 if t["drop2"] is None else dres2 * t["drop2"]
-        grads[f"{p}.ffn.w2"] = t["a1"].T @ dffn_out
-        grads[f"{p}.ffn.b2"] = dffn_out.sum(axis=0)
+        grads[f"{p}.ffn.w2"] += t["a1"].T @ dffn_out
+        grads[f"{p}.ffn.b2"] += dffn_out.sum(axis=0)
         da1 = dffn_out @ params[f"{p}.ffn.w2"].T
         dh1 = _kernels.gelu_grad(t["h1"], da1)
-        grads[f"{p}.ffn.w1"] = t["y1"].T @ dh1
-        grads[f"{p}.ffn.b1"] = dh1.sum(axis=0)
+        grads[f"{p}.ffn.w1"] += t["y1"].T @ dh1
+        grads[f"{p}.ffn.b1"] += dh1.sum(axis=0)
         dy1 = dres2 + dh1 @ params[f"{p}.ffn.w1"].T
 
         dres1, dg1, db1 = _kernels.layer_norm_grad(
             dy1, t["xhat1"], t["inv1"], params[f"{p}.ln1.g"]
         )
-        grads[f"{p}.ln1.g"] = dg1
-        grads[f"{p}.ln1.b"] = db1
+        grads[f"{p}.ln1.g"] += dg1
+        grads[f"{p}.ln1.b"] += db1
         dattn_out = dres1 if t["drop1"] is None else dres1 * t["drop1"]
-        grads[f"{p}.attn.wo"] = t["ctx2"].T @ dattn_out
-        grads[f"{p}.attn.bo"] = dattn_out.sum(axis=0)
+        grads[f"{p}.attn.wo"] += t["ctx2"].T @ dattn_out
+        grads[f"{p}.attn.bo"] += dattn_out.sum(axis=0)
         dctx2 = dattn_out @ params[f"{p}.attn.wo"].T
 
         head_shape = (batch_size, length, cfg.num_heads, cfg.head_size)
@@ -390,8 +466,8 @@ def backward(
         dq2, dk2, dv2 = _flatten_heads(dq), _flatten_heads(dk), _flatten_heads(dv)
         x2_in = t["x2_in"]
         for name, d in (("q", dq2), ("k", dk2), ("v", dv2)):
-            grads[f"{p}.attn.w{name}"] = x2_in.T @ d
-            grads[f"{p}.attn.b{name}"] = d.sum(axis=0)
+            grads[f"{p}.attn.w{name}"] += x2_in.T @ d
+            grads[f"{p}.attn.b{name}"] += d.sum(axis=0)
         dx2 = (
             dres1
             + dq2 @ params[f"{p}.attn.wq"].T
@@ -400,15 +476,14 @@ def backward(
         )
 
     dx0 = dx2.reshape(batch_size, length, cfg.hidden_size)
-    if trace.emb_drop is not None:
-        dx0 = dx0 * trace.emb_drop
-    grads["pos_emb"][:length] = dx0.sum(axis=0)
+    if bucket.emb_drop is not None:
+        dx0 = dx0 * bucket.emb_drop
+    grads["pos_emb"][:length] += dx0.sum(axis=0)
     np.add.at(
         grads["tok_emb"],
-        trace.ids.reshape(-1),
+        bucket.ids.reshape(-1),
         dx0.reshape(rows, cfg.hidden_size),
     )
-    return grads
 
 
 def predict(
@@ -483,7 +558,8 @@ def save_checkpoint(
     vocab_sha256: str,
     tokenizer_config=None,
 ) -> Path:
-    """Write a versioned checkpoint; arrays stored as little-endian float32.
+    """Write a versioned checkpoint atomically; arrays stored as
+    little-endian float32.
 
     The tokenizer is referenced by vocabulary hash; its settings ride along
     in the header so evaluation can rebuild the encoding pipeline.
@@ -499,14 +575,15 @@ def save_checkpoint(
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
+
+    def chunks():
+        yield CHECKPOINT_MAGIC
+        yield struct.pack("<II", CHECKPOINT_VERSION, len(blob))
+        yield blob
         for arr in params.arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return path
+            yield np.ascontiguousarray(arr, dtype="<f4").tobytes()
+
+    return write_atomic(path, chunks())
 
 
 def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:

@@ -44,6 +44,22 @@ class TestIngest:
         assert run(["ingest", "--input", bad, "--out", tmp_path / "o"]) == 2
         assert "title,cat,lyrics,mood" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            (b"a,x,\xff\xfe la,happy\n", "not UTF-8"),
+            (b"a,x,la,happy\nb,x," + b"a" * 140_000 + b",sad\n", "line 3"),
+        ],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, body, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"title,category,lyrics,mood\n" + body)
+        assert run(["ingest", "--input", bad, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and named in err
+
     def test_drop_report_logged(self, tmp_path, capsys):
         csv_path = tmp_path / "c.csv"
         csv_path.write_text(

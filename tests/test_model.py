@@ -54,6 +54,29 @@ def batch_from(synth32, vocab32, tok_config, count):
     ]
 
 
+def mixed_bucket_batch(synth32, vocab32, tok_config):
+    """Five songs cut or joined to real lengths in the 8, 16 and 24-32
+    buckets of a 32-position encoding."""
+    recs = synth32.records
+    texts = [
+        " ".join(recs[0].lyrics.split()[:3]),
+        recs[1].lyrics,
+        recs[2].lyrics + " " + recs[3].lyrics,
+        " ".join(recs[4].lyrics.split()[:2]),
+        recs[5].lyrics,
+    ]
+    return [
+        encode(text, vocab32, tok_config, label=rec.mood)
+        for text, rec in zip(texts, recs)
+    ]
+
+
+def bucket_of(example) -> int:
+    """Last unmasked position + 1, rounded up to 8, capped at the length."""
+    end = int(np.flatnonzero(example.mask)[-1]) + 1
+    return min(math.ceil(end / 8) * 8, len(example.mask))
+
+
 class TestConfig:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ModelError, match="divisible"):
@@ -279,6 +302,67 @@ class TestForward:
                 mutated.append(type(example)(ids, example.mask, example.label))
             logits = forward(tiny_params, mutated, mode="eval").logits
             assert np.array_equal(logits, reference)
+
+
+class TestBuckets:
+    def test_mixed_buckets_match_each_example_alone(
+        self, synth32, vocab32, tok_config, tiny_params
+    ):
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)
+        assert len({bucket_of(ex) for ex in batch}) >= 2
+        together = forward(tiny_params, batch, mode="eval").logits
+        for i, example in enumerate(batch):
+            alone = forward(tiny_params, [example], mode="eval").logits[0]
+            assert np.array_equal(together[i], alone), i
+
+    def test_trace_ids_trimmed_to_longest_bucket(
+        self, synth32, vocab32, tok_config, tiny_params
+    ):
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)[:2]
+        buckets = [bucket_of(ex) for ex in batch]
+        assert len(set(buckets)) >= 2
+        trace = forward(tiny_params, batch, mode="eval")
+        assert trace.ids.shape == (2, max(buckets))
+        assert max(buckets) < tok_config.max_sequence_length
+
+    def test_full_mask_runs_at_full_length(
+        self, synth32, vocab32, tok_config, tiny_params
+    ):
+        long_text = " ".join(rec.lyrics for rec in synth32.records[:4])
+        full = encode(long_text, vocab32, tok_config, label=MoodLabel.SAD)
+        assert full.mask.all()
+        short = mixed_bucket_batch(synth32, vocab32, tok_config)[0]
+        batch = [short, full]
+        assert len({bucket_of(ex) for ex in batch}) >= 2
+        trace = forward(tiny_params, batch, mode="eval")
+        assert trace.ids.shape[1] == tok_config.max_sequence_length
+        assert [b.ids.shape[1] for b in trace.buckets] == [
+            bucket_of(short), tok_config.max_sequence_length
+        ]
+
+    def test_bucket_follows_last_unmasked_position(
+        self, synth32, vocab32, tok_config, tiny_params
+    ):
+        from moodlyrics.tokenizer import EncodedExample
+
+        short = mixed_bucket_batch(synth32, vocab32, tok_config)[0]
+        mask = short.mask.copy()
+        mask[20] = 1  # non-prefix mask: 6 unmasked positions, last at 20
+        holed = EncodedExample(short.ids, mask, short.label)
+        batch = [short, holed]
+        assert len({bucket_of(ex) for ex in batch}) >= 2
+        trace = forward(tiny_params, batch, mode="eval")
+        assert trace.ids.shape[1] == 24
+
+    def test_gradcheck_mixed_buckets_with_dropout(
+        self, synth32, vocab32, tok_config, tiny_params
+    ):
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)[:4]
+        assert len({bucket_of(ex) for ex in batch}) >= 2
+        assert tiny_params.config.dropout_rate > 0.0
+        errors = gradient_check(tiny_params, batch, max_entries_per_array=12)
+        worst = max(errors.values())
+        assert worst <= 1e-3, f"worst relative error {worst:.2e}"
 
 
 class TestBackward:
