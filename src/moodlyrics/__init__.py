@@ -2,8 +2,8 @@
 
 Subpackages cover the full desk-scale pipeline: corpus ingestion and
 cleaning, WordPiece tokenization, lexical analytics, a small transformer
-encoder classifier trained from scratch, a Naive Bayes / TF-IDF baseline,
-and evaluation reports. The ``moodlyrics`` console script wires them
+encoder classifier trained from scratch, a Naive Bayes baseline, and
+evaluation reports. The ``moodlyrics`` console script wires them
 together.
 """
 

@@ -1,14 +1,12 @@
-"""TF-IDF features and a multinomial Naive Bayes classifier.
+"""Multinomial Naive Bayes baseline classifier.
 
-Naive Bayes consumes raw token counts with additive smoothing; TF-IDF
-vectors feed reporting and a nearest-centroid probe. Model files are
-versioned plain text with ``repr`` floats, so a reload reproduces
+Naive Bayes consumes raw token counts with additive smoothing. Model files
+are versioned plain text with ``repr`` floats, so a reload reproduces
 predictions bit-exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,40 +22,6 @@ NB_FORMAT = "moodlyrics-nb v1"
 
 def _words(text: str) -> list[str]:
     return clean_text(text).lower().split()
-
-
-@dataclass(frozen=True)
-class TfidfModel:
-    """Vocabulary with smoothed inverse document frequencies:
-    idf = ln((1+N)/(1+df)) + 1."""
-
-    vocabulary: dict[str, int]
-    idf: np.ndarray
-
-
-def tfidf_fit(corpus: Corpus) -> TfidfModel:
-    if len(corpus) == 0:
-        raise BaselineError("cannot fit TF-IDF on an empty corpus")
-    doc_freq: dict[str, int] = {}
-    for rec in corpus:
-        for word in set(_words(rec.lyrics)):
-            doc_freq[word] = doc_freq.get(word, 0) + 1
-    vocabulary = {word: i for i, word in enumerate(sorted(doc_freq))}
-    n_docs = len(corpus)
-    idf = np.empty(len(vocabulary))
-    for word, col in vocabulary.items():
-        idf[col] = math.log((1 + n_docs) / (1 + doc_freq[word])) + 1.0
-    return TfidfModel(vocabulary=vocabulary, idf=idf)
-
-
-def tfidf_transform(model: TfidfModel, text: str) -> dict[int, float]:
-    """Sparse map column -> tf * idf; words unseen in training are ignored."""
-    weights: dict[int, float] = {}
-    for word in _words(text):
-        col = model.vocabulary.get(word)
-        if col is not None:
-            weights[col] = weights.get(col, 0.0) + model.idf[col]
-    return weights
 
 
 @dataclass(frozen=True)
@@ -165,27 +129,3 @@ def load_nb(path: str | Path) -> NaiveBayesModel:
         alpha=alpha,
     )
 
-
-def nearest_centroid_fit(model: TfidfModel, corpus: Corpus) -> np.ndarray:
-    """Per-class mean TF-IDF vector, for the reporting probe."""
-    centroids = np.zeros((len(MoodLabel), len(model.vocabulary)))
-    counts = np.zeros(len(MoodLabel))
-    for rec in corpus:
-        for col, weight in tfidf_transform(model, rec.lyrics).items():
-            centroids[rec.mood, col] += weight
-        counts[rec.mood] += 1
-    counts[counts == 0] = 1.0
-    return centroids / counts[:, None]
-
-
-def nearest_centroid_predict(
-    model: TfidfModel, centroids: np.ndarray, text: str
-) -> MoodLabel:
-    """Cosine-nearest centroid; ties break toward the lowest class index."""
-    vec = np.zeros(len(model.vocabulary))
-    for col, weight in tfidf_transform(model, text).items():
-        vec[col] = weight
-    norms = np.linalg.norm(centroids, axis=1) * max(np.linalg.norm(vec), 1e-12)
-    norms[norms == 0] = 1.0
-    similarity = centroids @ vec / norms
-    return MoodLabel(int(np.argmax(similarity)))

@@ -26,7 +26,6 @@ from . import __version__, baseline, evaluation
 from ._atomic import write_atomic
 from .analytics import density_curve, emit_plot, freq_dist, lexical_stats
 from .corpus import (
-    Corpus,
     DropReport,
     MoodLabel,
     clean_text,
@@ -322,12 +321,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _classify(predict_one, corpus: Corpus):
-    preds = [predict_one(rec) for rec in corpus]
-    golds = [rec.mood for rec in corpus]
-    return preds, golds
-
-
 def _transformer_predictions(params, examples) -> list[MoodLabel]:
     preds: list[MoodLabel] = []
     for start in range(0, len(examples), EVAL_BATCH):
@@ -371,9 +364,8 @@ def cmd_train(args) -> int:
         nb_model = baseline.nb_train(train_split, alpha=alpha)
         model_path = baseline.save_nb(nb_model, out_dir / "model.nb")
         outputs.append(str(model_path))
-        preds, golds = _classify(
-            lambda rec: baseline.nb_predict(nb_model, rec.lyrics)[0], test_split
-        )
+        preds = [baseline.nb_predict(nb_model, rec.lyrics)[0] for rec in test_split]
+        golds = [rec.mood for rec in test_split]
         rep = evaluation.report(evaluation.confusion(preds, golds))
         metrics["test"] = _metrics_dict(rep)
         config_snapshot = {"model": "nb", "alpha": alpha}

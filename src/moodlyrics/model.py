@@ -136,11 +136,6 @@ class Parameters:
         return Parameters(self.config, {n: a.copy() for n, a in self.arrays.items()})
 
 
-def is_decay_exempt(name: str, array: np.ndarray) -> bool:
-    """Layer-norm parameters and biases (all 1-D arrays) skip weight decay."""
-    return array.ndim == 1
-
-
 def init_model(config: ModelConfig, dtype=np.float32) -> Parameters:
     """Weights ~ N(0, 0.02), biases zero, layer-norm gains one.
     Deterministic per config.seed."""
@@ -206,7 +201,7 @@ class BucketTrace:
     index: np.ndarray  # their positions in the batch
     ids: np.ndarray  # [count, bucket]
     emb_drop: np.ndarray | None
-    layers: list[dict]
+    layers: list[tuple]  # one _layer_forward cache per layer
     h_cls: np.ndarray
 
 
@@ -219,14 +214,8 @@ class ForwardTrace:
     """
 
     logits: np.ndarray
-    mode: str
     ids: np.ndarray
     buckets: list[BucketTrace]
-
-
-def _dropout_mask(shape, rate: float, rng, dtype) -> np.ndarray:
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / dtype.type(1.0 - rate)
 
 
 def forward(
@@ -262,8 +251,155 @@ def forward(
         buckets.append(bucket)
     if not np.all(np.isfinite(logits)):
         raise ModelError("forward pass produced non-finite logits")
-    return ForwardTrace(
-        logits=logits, mode=mode, ids=ids[:, : lengths.max()], buckets=buckets
+    return ForwardTrace(logits=logits, ids=ids[:, : lengths.max()], buckets=buckets)
+
+
+# Sublayer pairs. Each forward returns (out, cache); each backward takes the
+# cache and the output gradient as [rows, features], adds its parameter
+# gradients into ``grads`` and returns the input gradient as [rows, features].
+# Forward arrays keep their (B, b, ...) shape, so every projection runs as a
+# (B, b, H) @ (H, F) matmul: one GEMM per example at its own bucket length b,
+# which depends on that example's mask alone, so its logits are bit-identical
+# whatever the rest of the batch contains. Backward reads [rows, ...] views.
+
+
+def _linear(params: Parameters, prefix: str, key: str, x: np.ndarray) -> np.ndarray:
+    """``x @ W + b`` with W = ``{prefix}.w{key}`` and b = ``{prefix}.b{key}``.
+    Callers keep ``x`` in their own cache for ``_linear_backward``."""
+    return np.matmul(x, params[f"{prefix}.w{key}"]) + params[f"{prefix}.b{key}"]
+
+
+def _linear_backward(
+    params: Parameters, grads: dict, prefix: str, key: str, x: np.ndarray, dout: np.ndarray
+) -> np.ndarray:
+    w = f"{prefix}.w{key}"
+    grads[w] += x.reshape(-1, x.shape[-1]).T @ dout
+    grads[f"{prefix}.b{key}"] += dout.sum(axis=0)
+    return dout @ params[w].T
+
+
+def _dropout(x: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout; the cache is the scaled keep mask, or None when
+    ``rng`` is None (dropout off)."""
+    if rng is None:
+        return x, None
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    mask = keep / x.dtype.type(1.0 - rate)
+    return x * mask, mask
+
+
+def _dropout_backward(mask: np.ndarray | None, dout: np.ndarray) -> np.ndarray:
+    return dout if mask is None else dout * mask.reshape(dout.shape)
+
+
+def _add_norm(
+    params: Parameters, prefix: str, x: np.ndarray, sub: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """Post-norm residual: LayerNorm(x + sub) with ``{prefix}.g``/``.b``."""
+    y, xhat, inv = _kernels.layer_norm(
+        (x + sub).reshape(-1, x.shape[-1]),
+        params[f"{prefix}.g"], params[f"{prefix}.b"], LN_EPS,
+    )
+    return y.reshape(x.shape), (xhat, inv)
+
+
+def _add_norm_backward(
+    params: Parameters, grads: dict, prefix: str, cache: tuple, dout: np.ndarray
+) -> np.ndarray:
+    """The returned gradient reaches both the residual and the sublayer."""
+    xhat, inv = cache
+    dres, dgain, dbias = _kernels.layer_norm_grad(dout, xhat, inv, params[f"{prefix}.g"])
+    grads[f"{prefix}.g"] += dgain
+    grads[f"{prefix}.b"] += dbias
+    return dres
+
+
+def _attention(
+    params: Parameters, prefix: str, x: np.ndarray, maskf: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """Multi-head self-attention over [B, b, H] with [B, b] key mask."""
+    cfg = params.config
+    batch_size, length, hidden = x.shape
+    heads = (batch_size, length, cfg.num_heads, cfg.head_size)
+    q, k, v = (
+        _linear(params, prefix, key, x).reshape(heads).transpose(0, 2, 1, 3)
+        for key in "qkv"
+    )
+    scale = params.dtype.type(1.0 / np.sqrt(cfg.head_size))
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    probs = _kernels.masked_softmax(scores, maskf)
+    ctx = np.ascontiguousarray(
+        np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(batch_size, length, hidden)
+    )
+    return _linear(params, prefix, "o", ctx), (x, q, k, v, probs, ctx)
+
+
+def _attention_backward(
+    params: Parameters, grads: dict, prefix: str, cache: tuple, dout: np.ndarray, dx: np.ndarray
+) -> np.ndarray:
+    """Adds the input gradient to ``dx``, the gradient that already reaches
+    the input along the residual path, one projection at a time in q, k, v
+    order (the order fixes the float result)."""
+    x, q, k, v, probs, ctx = cache
+    batch_size, num_heads, length, head_size = q.shape
+    dctx = _linear_backward(params, grads, prefix, "o", ctx, dout)
+    dctx = dctx.reshape(batch_size, length, num_heads, head_size).transpose(0, 2, 1, 3)
+    dprobs = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+    dv = np.matmul(probs.transpose(0, 1, 3, 2), dctx)
+    # softmax backward; masked entries have probs exactly 0, so no
+    # gradient leaks through padding
+    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
+    dscores = probs * (dprobs - inner) * params.dtype.type(1.0 / np.sqrt(head_size))
+    dq = np.matmul(dscores, k)
+    dk = np.matmul(dscores.transpose(0, 1, 3, 2), q)
+    for key, d in (("q", dq), ("k", dk), ("v", dv)):
+        d = np.ascontiguousarray(d.transpose(0, 2, 1, 3).reshape(dout.shape))
+        dx = dx + _linear_backward(params, grads, prefix, key, x, d)
+    return dx
+
+
+def _ffn(params: Parameters, prefix: str, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Position-wise feed-forward: GELU(x W1 + b1) W2 + b2."""
+    h = _linear(params, prefix, "1", x)
+    a = _kernels.gelu(h)
+    return _linear(params, prefix, "2", a), (x, h, a)
+
+
+def _ffn_backward(
+    params: Parameters, grads: dict, prefix: str, cache: tuple, dout: np.ndarray
+) -> np.ndarray:
+    x, h, a = cache
+    da = _linear_backward(params, grads, prefix, "2", a, dout)
+    dh = _kernels.gelu_grad(h.reshape(da.shape), da)
+    return _linear_backward(params, grads, prefix, "1", x, dh)
+
+
+def _layer_forward(
+    params: Parameters, prefix: str, x: np.ndarray, maskf: np.ndarray, rng
+) -> tuple[np.ndarray, tuple]:
+    """One encoder layer: LayerNorm(x + Dropout(Sublayer(x))) for the
+    attention sublayer, then for the feed-forward sublayer."""
+    rate = params.config.dropout_rate
+    attn_out, attn = _attention(params, f"{prefix}.attn", x, maskf)
+    attn_out, drop1 = _dropout(attn_out, rate, rng)
+    y1, norm1 = _add_norm(params, f"{prefix}.ln1", x, attn_out)
+    ffn_out, ffn = _ffn(params, f"{prefix}.ffn", y1)
+    ffn_out, drop2 = _dropout(ffn_out, rate, rng)
+    y2, norm2 = _add_norm(params, f"{prefix}.ln2", y1, ffn_out)
+    return y2, (attn, drop1, norm1, ffn, drop2, norm2)
+
+
+def _layer_backward(
+    params: Parameters, grads: dict, prefix: str, cache: tuple, dout: np.ndarray
+) -> np.ndarray:
+    attn, drop1, norm1, ffn, drop2, norm2 = cache
+    dres2 = _add_norm_backward(params, grads, f"{prefix}.ln2", norm2, dout)
+    dy1 = dres2 + _ffn_backward(
+        params, grads, f"{prefix}.ffn", ffn, _dropout_backward(drop2, dres2)
+    )
+    dres1 = _add_norm_backward(params, grads, f"{prefix}.ln1", norm1, dy1)
+    return _attention_backward(
+        params, grads, f"{prefix}.attn", attn, _dropout_backward(drop1, dres1), dres1
     )
 
 
@@ -277,77 +413,16 @@ def _bucket_forward(
     """Embedding, encoder layers and head over examples that share one
     bucket length; ``rng`` is None when dropout is off."""
     cfg = params.config
-    dtype = params.dtype
-    batch_size, length = ids.shape
-    rows = batch_size * length
-    x = params["tok_emb"][ids] + params["pos_emb"][:length]
-    emb_drop = None
-    if rng is not None:
-        emb_drop = _dropout_mask(x.shape, cfg.dropout_rate, rng, np.dtype(dtype))
-        x = x * emb_drop
-    x3 = np.ascontiguousarray(x)
-
-    # All projections run as (B, b, H) @ (H, F) matmuls: one GEMM per
-    # example at its own bucket length b, which depends on that example's
-    # mask alone, so its logits are bit-identical whatever the rest of the
-    # batch contains.
-    scale = dtype.type(1.0 / np.sqrt(cfg.head_size))
-    layer_traces: list[dict] = []
+    x = params["tok_emb"][ids] + params["pos_emb"][: ids.shape[1]]
+    x, emb_drop = _dropout(x, cfg.dropout_rate, rng)
+    x = np.ascontiguousarray(x)
+    layers = []
     for i in range(cfg.num_layers):
-        p = f"layers.{i}"
-        trace: dict = {"x2_in": x3.reshape(rows, cfg.hidden_size)}
-        # attention sublayer
-        heads = (batch_size, length, cfg.num_heads, cfg.head_size)
-        q = (np.matmul(x3, params[f"{p}.attn.wq"]) + params[f"{p}.attn.bq"]).reshape(heads)
-        k = (np.matmul(x3, params[f"{p}.attn.wk"]) + params[f"{p}.attn.bk"]).reshape(heads)
-        v = (np.matmul(x3, params[f"{p}.attn.wv"]) + params[f"{p}.attn.bv"]).reshape(heads)
-        q, k, v = (a.transpose(0, 2, 1, 3) for a in (q, k, v))
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-        probs = _kernels.masked_softmax(scores, maskf)
-        ctx = np.matmul(probs, v)
-        ctx3 = np.ascontiguousarray(
-            ctx.transpose(0, 2, 1, 3).reshape(batch_size, length, cfg.hidden_size)
-        )
-        attn_out = np.matmul(ctx3, params[f"{p}.attn.wo"]) + params[f"{p}.attn.bo"]
-        drop1 = None
-        if rng is not None:
-            drop1 = _dropout_mask(attn_out.shape, cfg.dropout_rate, rng, np.dtype(dtype))
-            attn_out = attn_out * drop1
-        y1_2d, xhat1, inv1 = _kernels.layer_norm(
-            (x3 + attn_out).reshape(rows, cfg.hidden_size),
-            params[f"{p}.ln1.g"], params[f"{p}.ln1.b"], LN_EPS,
-        )
-        y1 = y1_2d.reshape(batch_size, length, cfg.hidden_size)
-        # feed-forward sublayer
-        h1 = np.matmul(y1, params[f"{p}.ffn.w1"]) + params[f"{p}.ffn.b1"]
-        a1 = _kernels.gelu(h1)
-        ffn_out = np.matmul(a1, params[f"{p}.ffn.w2"]) + params[f"{p}.ffn.b2"]
-        drop2 = None
-        if rng is not None:
-            drop2 = _dropout_mask(ffn_out.shape, cfg.dropout_rate, rng, np.dtype(dtype))
-            ffn_out = ffn_out * drop2
-        y2_2d, xhat2, inv2 = _kernels.layer_norm(
-            (y1 + ffn_out).reshape(rows, cfg.hidden_size),
-            params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], LN_EPS,
-        )
-        trace.update(
-            q=q, k=k, v=v, probs=probs,
-            ctx2=ctx3.reshape(rows, cfg.hidden_size),
-            drop1=None if drop1 is None else drop1.reshape(rows, cfg.hidden_size),
-            xhat1=xhat1, inv1=inv1, y1=y1_2d,
-            h1=h1.reshape(rows, cfg.ffn_size), a1=a1.reshape(rows, cfg.ffn_size),
-            drop2=None if drop2 is None else drop2.reshape(rows, cfg.hidden_size),
-            xhat2=xhat2, inv2=inv2,
-        )
-        layer_traces.append(trace)
-        x3 = y2_2d.reshape(batch_size, length, cfg.hidden_size)
-
-    h_cls = x3[:, 0, :]
-    logits = np.matmul(h_cls[:, None, :], params["head.w"])[:, 0, :] + params["head.b"]
-    bucket = BucketTrace(
-        index=index, ids=ids, emb_drop=emb_drop, layers=layer_traces, h_cls=h_cls
-    )
-    return bucket, logits
+        x, cache = _layer_forward(params, f"layers.{i}", x, maskf, rng)
+        layers.append(cache)
+    h_cls = x[:, 0, :]
+    logits = _linear(params, "head", "", h_cls[:, None, :])[:, 0, :]
+    return BucketTrace(index, ids, emb_drop, layers, h_cls), logits
 
 
 def cross_entropy(
@@ -407,83 +482,16 @@ def _bucket_backward(
 ) -> None:
     """Add one bucket's parameter gradients into ``grads``."""
     cfg = params.config
-    dtype = params.dtype
     batch_size, length = bucket.ids.shape
-    rows = batch_size * length
-
-    grads["head.w"] += bucket.h_cls.T @ d_logits
-    grads["head.b"] += d_logits.sum(axis=0)
-    dh_cls = d_logits @ params["head.w"].T
-
-    dx = np.zeros((batch_size, length, cfg.hidden_size), dtype=dtype)
+    dh_cls = _linear_backward(params, grads, "head", "", bucket.h_cls, d_logits)
+    dx = np.zeros((batch_size, length, cfg.hidden_size), dtype=params.dtype)
     dx[:, 0, :] = dh_cls
-    dx2 = dx.reshape(rows, cfg.hidden_size)
-
-    scale = dtype.type(1.0 / np.sqrt(cfg.head_size))
+    dx = dx.reshape(batch_size * length, cfg.hidden_size)
     for i in reversed(range(cfg.num_layers)):
-        p = f"layers.{i}"
-        t = bucket.layers[i]
-        dres2, dg2, db2 = _kernels.layer_norm_grad(
-            dx2, t["xhat2"], t["inv2"], params[f"{p}.ln2.g"]
-        )
-        grads[f"{p}.ln2.g"] += dg2
-        grads[f"{p}.ln2.b"] += db2
-        dffn_out = dres2 if t["drop2"] is None else dres2 * t["drop2"]
-        grads[f"{p}.ffn.w2"] += t["a1"].T @ dffn_out
-        grads[f"{p}.ffn.b2"] += dffn_out.sum(axis=0)
-        da1 = dffn_out @ params[f"{p}.ffn.w2"].T
-        dh1 = _kernels.gelu_grad(t["h1"], da1)
-        grads[f"{p}.ffn.w1"] += t["y1"].T @ dh1
-        grads[f"{p}.ffn.b1"] += dh1.sum(axis=0)
-        dy1 = dres2 + dh1 @ params[f"{p}.ffn.w1"].T
-
-        dres1, dg1, db1 = _kernels.layer_norm_grad(
-            dy1, t["xhat1"], t["inv1"], params[f"{p}.ln1.g"]
-        )
-        grads[f"{p}.ln1.g"] += dg1
-        grads[f"{p}.ln1.b"] += db1
-        dattn_out = dres1 if t["drop1"] is None else dres1 * t["drop1"]
-        grads[f"{p}.attn.wo"] += t["ctx2"].T @ dattn_out
-        grads[f"{p}.attn.bo"] += dattn_out.sum(axis=0)
-        dctx2 = dattn_out @ params[f"{p}.attn.wo"].T
-
-        head_shape = (batch_size, length, cfg.num_heads, cfg.head_size)
-        dctx = dctx2.reshape(head_shape).transpose(0, 2, 1, 3)
-        dprobs = np.matmul(dctx, t["v"].transpose(0, 1, 3, 2))
-        dv = np.matmul(t["probs"].transpose(0, 1, 3, 2), dctx)
-        # softmax backward; masked entries have probs exactly 0, so no
-        # gradient leaks through padding
-        inner = (dprobs * t["probs"]).sum(axis=-1, keepdims=True)
-        dscores = t["probs"] * (dprobs - inner) * scale
-        dq = np.matmul(dscores, t["k"])
-        dk = np.matmul(dscores.transpose(0, 1, 3, 2), t["q"])
-
-        def _flatten_heads(a):
-            return np.ascontiguousarray(
-                a.transpose(0, 2, 1, 3).reshape(rows, cfg.hidden_size)
-            )
-
-        dq2, dk2, dv2 = _flatten_heads(dq), _flatten_heads(dk), _flatten_heads(dv)
-        x2_in = t["x2_in"]
-        for name, d in (("q", dq2), ("k", dk2), ("v", dv2)):
-            grads[f"{p}.attn.w{name}"] += x2_in.T @ d
-            grads[f"{p}.attn.b{name}"] += d.sum(axis=0)
-        dx2 = (
-            dres1
-            + dq2 @ params[f"{p}.attn.wq"].T
-            + dk2 @ params[f"{p}.attn.wk"].T
-            + dv2 @ params[f"{p}.attn.wv"].T
-        )
-
-    dx0 = dx2.reshape(batch_size, length, cfg.hidden_size)
-    if bucket.emb_drop is not None:
-        dx0 = dx0 * bucket.emb_drop
-    grads["pos_emb"][:length] += dx0.sum(axis=0)
-    np.add.at(
-        grads["tok_emb"],
-        bucket.ids.reshape(-1),
-        dx0.reshape(rows, cfg.hidden_size),
-    )
+        dx = _layer_backward(params, grads, f"layers.{i}", bucket.layers[i], dx)
+    dx0 = _dropout_backward(bucket.emb_drop, dx)
+    grads["pos_emb"][:length] += dx0.reshape(batch_size, length, -1).sum(axis=0)
+    np.add.at(grads["tok_emb"], bucket.ids.reshape(-1), dx0)
 
 
 def predict(

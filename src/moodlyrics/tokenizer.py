@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .corpus import Corpus, MoodLabel, clean_text
 from .errors import TokenizerError
 
@@ -68,10 +69,11 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.id_of
 
+    def _serialized(self) -> bytes:
+        return ("\n".join(self.tokens) + "\n").encode("utf-8")
+
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
-        return path
+        return write_atomic(path, [self._serialized()])
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -83,8 +85,7 @@ class Vocabulary:
 
     def sha256(self) -> str:
         """Hash of the serialized token list; identifies the vocabulary."""
-        blob = ("\n".join(self.tokens) + "\n").encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(self._serialized()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ and data produce identical histories and checkpoint bytes.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from ._atomic import write_atomic
 from .corpus import Corpus
 from .errors import TrainerError
 from .model import (
@@ -25,7 +27,6 @@ from .model import (
     backward,
     cross_entropy,
     forward,
-    is_decay_exempt,
     save_checkpoint,
 )
 from .tokenizer import EncodedExample, TokenizerConfig, Vocabulary, encode_corpus
@@ -100,7 +101,8 @@ def adamw_step(
         grad = grads[name]
         if not np.all(np.isfinite(grad)):
             raise TrainerError(f"non-finite gradient for {name} at step {state.step}")
-        decay = 0.0 if is_decay_exempt(name, arr) else config.weight_decay
+        # layer-norm parameters and biases (all 1-D arrays) skip weight decay
+        decay = 0.0 if arr.ndim == 1 else config.weight_decay
         _kernels.adamw_update(
             arr, grad, state.m[name], state.v[name],
             lr, config.beta1, config.beta2, config.epsilon, decay,
@@ -146,21 +148,21 @@ class TrainHistory:
         return len(self.val_acc)
 
     def save_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(HISTORY_HEADER)
-            for i in range(len(self)):
-                writer.writerow(
-                    [
-                        i + 1,
-                        repr(self.train_loss[i]),
-                        repr(self.train_acc[i]),
-                        repr(self.val_loss[i]),
-                        repr(self.val_acc[i]),
-                    ]
-                )
-        return path
+        """Write atomically, keeping the csv module's CRLF line endings."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(HISTORY_HEADER)
+        for i in range(len(self)):
+            writer.writerow(
+                [
+                    i + 1,
+                    repr(self.train_loss[i]),
+                    repr(self.train_acc[i]),
+                    repr(self.val_loss[i]),
+                    repr(self.val_acc[i]),
+                ]
+            )
+        return write_atomic(path, [buf.getvalue().encode("utf-8")])
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "TrainHistory":

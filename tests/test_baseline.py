@@ -8,11 +8,7 @@ from moodlyrics.baseline import (
     load_nb,
     nb_predict,
     nb_train,
-    nearest_centroid_fit,
-    nearest_centroid_predict,
     save_nb,
-    tfidf_fit,
-    tfidf_transform,
 )
 from moodlyrics.corpus import Corpus, MoodLabel, SongRecord, stratified_split, synthesize_corpus
 from moodlyrics.errors import BaselineError
@@ -38,46 +34,6 @@ def random_tiny_corpus(rng, vocab_size=None, n_docs=None):
         words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
         docs.append((" ".join(words), mood))
     return corpus_from(docs)
-
-
-class TestTfidf:
-    def test_word_in_every_document_has_idf_one(self):
-        corpus = corpus_from(
-            [
-                ("common a", MoodLabel.HAPPY),
-                ("common b", MoodLabel.SAD),
-                ("common c", MoodLabel.ROMANTIC),
-            ]
-        )
-        model = tfidf_fit(corpus)
-        # ln((1+3)/(1+3)) + 1 = 1
-        assert model.idf[model.vocabulary["common"]] == pytest.approx(1.0, abs=1e-12)
-        assert model.idf[model.vocabulary["a"]] == pytest.approx(
-            math.log(4 / 2) + 1, abs=1e-12
-        )
-
-    def test_absent_word_gets_zero_weight(self):
-        corpus = corpus_from([("x y", MoodLabel.HAPPY), ("z", MoodLabel.SAD)])
-        model = tfidf_fit(corpus)
-        vec = tfidf_transform(model, "x x")
-        assert model.vocabulary["z"] not in vec
-        assert vec[model.vocabulary["x"]] == pytest.approx(
-            2 * (math.log(3 / 2) + 1)
-        )
-
-    def test_empty_text_is_zero_vector(self):
-        corpus = corpus_from([("x", MoodLabel.HAPPY)])
-        model = tfidf_fit(corpus)
-        assert tfidf_transform(model, "") == {}
-
-    def test_unseen_words_ignored(self):
-        corpus = corpus_from([("x", MoodLabel.HAPPY)])
-        model = tfidf_fit(corpus)
-        assert tfidf_transform(model, "never seen") == {}
-
-    def test_empty_corpus_is_error(self):
-        with pytest.raises(BaselineError):
-            tfidf_fit(Corpus((), "x"))
 
 
 class TestNbTrain:
@@ -206,14 +162,3 @@ class TestSerialization:
         with pytest.raises(BaselineError):
             load_nb(path)
 
-
-class TestNearestCentroid:
-    def test_separable_corpus(self):
-        corpus = synthesize_corpus(seed=23, per_class=8)
-        model = tfidf_fit(corpus)
-        centroids = nearest_centroid_fit(model, corpus)
-        correct = sum(
-            nearest_centroid_predict(model, centroids, rec.lyrics) is rec.mood
-            for rec in corpus
-        )
-        assert correct / len(corpus) > 0.9

@@ -354,13 +354,18 @@ class TestBuckets:
         trace = forward(tiny_params, batch, mode="eval")
         assert trace.ids.shape[1] == 24
 
+    @pytest.mark.parametrize(
+        "class_weights", [None, (1.0, 2.0, 0.5, 1.5)], ids=["unweighted", "weighted"]
+    )
     def test_gradcheck_mixed_buckets_with_dropout(
-        self, synth32, vocab32, tok_config, tiny_params
+        self, synth32, vocab32, tok_config, tiny_params, class_weights
     ):
         batch = mixed_bucket_batch(synth32, vocab32, tok_config)[:4]
         assert len({bucket_of(ex) for ex in batch}) >= 2
         assert tiny_params.config.dropout_rate > 0.0
-        errors = gradient_check(tiny_params, batch, max_entries_per_array=12)
+        errors = gradient_check(
+            tiny_params, batch, max_entries_per_array=12, class_weights=class_weights
+        )
         worst = max(errors.values())
         assert worst <= 1e-3, f"worst relative error {worst:.2e}"
 
