@@ -7,6 +7,7 @@ predictions bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +38,8 @@ class NaiveBayesModel:
 def nb_train(corpus: Corpus, alpha: float = 1.0) -> NaiveBayesModel:
     """Multinomial NB: priors are class fractions, likelihood(w|c) =
     (count(w,c) + alpha) / (total(c) + alpha * |V|)."""
-    if alpha <= 0:
-        raise BaselineError(f"smoothing alpha must be > 0, got {alpha}")
+    if not (0 < alpha < math.inf):
+        raise BaselineError(f"smoothing alpha must be finite and > 0, got {alpha}")
     if len(corpus) == 0:
         raise BaselineError("cannot train Naive Bayes on an empty corpus")
     class_docs = {label: 0 for label in MoodLabel}

@@ -146,7 +146,11 @@ def _read_config_pairs(args) -> dict[str, str]:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise UsageError(f"config file is not UTF-8: {path}") from None
+        for lineno, line in enumerate(lines, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -372,6 +376,7 @@ def cmd_train(args) -> int:
         print(f"naive bayes: test accuracy {rep.accuracy:.4f}")
     else:
         tok_config = TokenizerConfig(**tok_kw)
+        train_config = TrainConfig(seed=seeds["train"], **train_kw)
         vocab = train_wordpiece(train_split, tok_config)
         vocab_path = vocab.save(out_dir / "vocab.txt")
         outputs.append(str(vocab_path))
@@ -381,7 +386,6 @@ def cmd_train(args) -> int:
             seed=seeds["init"],
             **model_kw,
         )
-        train_config = TrainConfig(seed=seeds["train"], **train_kw)
         params = init_model(model_config)
         checkpoint_path = out_dir / "checkpoint.ckpt"
         best_params, history = train(
@@ -521,7 +525,10 @@ def cmd_predict(args) -> int:
         path = Path(args.file)
         if not path.is_file():
             raise UsageError(f"lyrics file not found: {path}")
-        lyrics = path.read_text(encoding="utf-8")
+        try:
+            lyrics = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise UsageError(f"lyrics file is not UTF-8: {path}") from None
     if not clean_text(lyrics):
         print(
             "warning: lyrics are empty after cleaning; prediction uses no content",

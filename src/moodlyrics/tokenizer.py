@@ -4,9 +4,12 @@ sequence encoding.
 The vocabulary is learned from the corpus with frequency-greedy pair
 merging (BPE-style) over character pieces, emitting WordPiece-marked
 entries: a word-initial piece is a plain string, continuations carry the
-``##`` marker. Segmentation at encode time is greedy longest-prefix
-matching, so any word whose characters were all seen in training segments
-without UNK.
+``##`` marker. Training keeps its pair counts across merges and rewrites
+only the words that hold the merged pair; the merge chosen each round (the
+most frequent pair, ties to the smallest, none below a count of 2) is the
+one a full recount would choose. Segmentation at encode time is greedy
+longest-prefix matching, so any word whose characters were all seen in
+training segments without UNK.
 
 Vocabulary file format: UTF-8 text, one token per line, line number = id;
 the first four lines are exactly ``[PAD] [UNK] [CLS] [SEP]``.
@@ -15,7 +18,8 @@ the first four lines are exactly ``[PAD] [UNK] [CLS] [SEP]``.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +84,10 @@ class Vocabulary:
         path = Path(path)
         if not path.is_file():
             raise TokenizerError(f"vocabulary file not found: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise TokenizerError(f"vocabulary file is not UTF-8: {path}") from None
         return cls(tuple(lines))
 
     def sha256(self) -> str:
@@ -122,6 +129,33 @@ def _merge_symbols(left: str, right: str) -> str:
     return left + right[len(CONTINUATION):]
 
 
+def _merge_pair(syms: list[str], pair: tuple[str, str], merged: str) -> list[str]:
+    """Replace each occurrence of ``pair`` in ``syms``, scanning left to
+    right without overlaps."""
+    left, right = pair
+    out = []
+    i = 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == left and syms[i + 1] == right:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
+
+
+def _pop_best(heap: list, pair_counts: dict) -> tuple[tuple[str, str], int] | None:
+    """Pop the most frequent live pair, ties to the smallest pair; ``None``
+    once no pair is left. Entries whose count is not the live count are
+    stale and dropped."""
+    while heap:
+        neg_count, pair = heapq.heappop(heap)
+        if pair_counts.get(pair) == -neg_count:
+            return pair, -neg_count
+    return None
+
+
 def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
     """Learn a subword vocabulary of at most ``config.vocab_size`` entries.
 
@@ -129,7 +163,16 @@ def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
     and ``##``-marked continuations), then repeatedly merges the most
     frequent adjacent pair until the budget is reached or no pair occurs at
     least twice. Deterministic: ties break on the lexicographically
-    smallest pair.
+    smallest pair. Overlapping occurrences count (``##a ##a ##a`` holds two
+    ``(##a, ##a)``), and a merge rewrites each word left to right without
+    overlaps. A merge whose product is already a token uses up a round but
+    adds nothing.
+
+    Pair counts are kept across merges (the incremental statistics of
+    Sennrich et al. 2016, arXiv:1508.07909): a pair -> word index names the
+    words holding each pair, a merge rewrites only those words and moves the
+    counts of the pairs they lose and gain, and a heap of ``(-count, pair)``
+    with stale entries skipped yields the next merge.
     """
     if len(corpus) == 0:
         raise TokenizerError("cannot train a vocabulary on an empty corpus")
@@ -139,8 +182,9 @@ def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
     if not word_freq:
         raise TokenizerError("corpus has no words after cleaning")
 
-    words = {w: _word_symbols(w) for w in word_freq}
-    base = sorted({sym for syms in words.values() for sym in syms})
+    words = [_word_symbols(w) for w in word_freq]
+    freqs = list(word_freq.values())
+    base = sorted({sym for syms in words for sym in syms})
     if len(SPECIAL_TOKENS) + len(base) > config.vocab_size:
         raise TokenizerError(
             f"vocab_size {config.vocab_size} cannot hold {len(SPECIAL_TOKENS)} "
@@ -149,35 +193,44 @@ def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
     tokens = list(SPECIAL_TOKENS) + base
     seen = set(tokens)
 
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    # may name words that have since lost the pair; rewriting those is a no-op
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, syms in enumerate(words):
+        for pair in zip(syms, syms[1:]):
+            pair_counts[pair] += freqs[i]
+            where[pair].add(i)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     while len(tokens) < config.vocab_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for word, syms in words.items():
-            freq = word_freq[word]
-            for a, b in zip(syms, syms[1:]):
-                pair_counts[(a, b)] += freq
-        if not pair_counts:
+        popped = _pop_best(heap, pair_counts)
+        if popped is None or popped[1] < 2:
             break
-        best_pair, best_count = min(
-            pair_counts.items(), key=lambda item: (-item[1], item[0])
-        )
-        if best_count < 2:
-            break
-        merged = _merge_symbols(*best_pair)
-        for word, syms in words.items():
-            out = []
-            i = 0
-            while i < len(syms):
-                if (
-                    i + 1 < len(syms)
-                    and syms[i] == best_pair[0]
-                    and syms[i + 1] == best_pair[1]
-                ):
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            words[word] = out
+        best = popped[0]
+        merged = _merge_symbols(*best)
+        delta: Counter[tuple[str, str]] = Counter()
+        for i in where.pop(best):
+            old = words[i]
+            new = _merge_pair(old, best, merged)
+            if len(new) == len(old):
+                continue
+            words[i] = new
+            for pair in zip(old, old[1:]):
+                delta[pair] -= freqs[i]
+            for pair in zip(new, new[1:]):
+                delta[pair] += freqs[i]
+                where[pair].add(i)
+        for pair, change in delta.items():
+            if change == 0:
+                continue
+            count = pair_counts[pair] + change
+            if count:
+                pair_counts[pair] = count
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
+                where.pop(pair, None)
         if merged not in seen:
             tokens.append(merged)
             seen.add(merged)
@@ -214,24 +267,31 @@ def encode(
     vocab: Vocabulary,
     config: TokenizerConfig,
     label: MoodLabel | None = None,
+    *,
+    segments: dict[str, list[str]] | None = None,
 ) -> EncodedExample:
     """Encode raw text to a fixed-length id sequence.
 
     Pipeline: clean, word-tokenize, WordPiece-segment each word, truncate
     the piece list to ``max_sequence_length - 2`` keeping the head, wrap in
     [CLS]/[SEP], pad with [PAD]. The mask marks non-pad positions.
+
+    ``segments`` memoises word -> pieces; calls that share one dict (and
+    one vocabulary) segment each distinct word once.
     """
-    pieces = [
-        piece
-        for w in normalize_words(text, config)
-        for piece in wordpiece_segment(w, vocab)
-    ]
+    if segments is None:
+        segments = {}
+    pieces = []
+    for w in normalize_words(text, config):
+        word_pieces = segments.get(w)
+        if word_pieces is None:
+            word_pieces = segments[w] = wordpiece_segment(w, vocab)
+        pieces += word_pieces
     max_len = config.max_sequence_length
     pieces = pieces[: max_len - 2]
     ids = np.full(max_len, PAD_ID, dtype=np.int32)
     ids[0] = CLS_ID
-    for i, piece in enumerate(pieces, start=1):
-        ids[i] = vocab.id_of[piece]
+    ids[1 : len(pieces) + 1] = [vocab.id_of[piece] for piece in pieces]
     ids[len(pieces) + 1] = SEP_ID
     mask = np.zeros(max_len, dtype=np.int32)
     mask[: len(pieces) + 2] = 1
@@ -241,5 +301,10 @@ def encode(
 def encode_corpus(
     corpus: Corpus, vocab: Vocabulary, config: TokenizerConfig
 ) -> list[EncodedExample]:
-    """Encode every record's lyrics, carrying the mood label along."""
-    return [encode(rec.lyrics, vocab, config, label=rec.mood) for rec in corpus]
+    """Encode every record's lyrics, carrying the mood label along. The
+    records share one segmentation memo, which lives only for this call."""
+    segments: dict[str, list[str]] = {}
+    return [
+        encode(rec.lyrics, vocab, config, label=rec.mood, segments=segments)
+        for rec in corpus
+    ]

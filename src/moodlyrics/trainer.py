@@ -50,6 +50,13 @@ class TrainConfig:
     class_weights: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
+        for key in ("learning_rate", "weight_decay", "epsilon", "max_grad_norm"):
+            if not math.isfinite(getattr(self, key)):
+                raise TrainerError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.class_weights is not None and not all(
+            math.isfinite(w) for w in self.class_weights
+        ):
+            raise TrainerError(f"class_weights must be finite, got {self.class_weights}")
         if self.batch_size < 1:
             raise TrainerError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:

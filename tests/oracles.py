@@ -1,15 +1,18 @@
 """Independent reference computations used to check the library code.
 
 These deliberately avoid the library's own code paths: the Naive Bayes
-oracle multiplies plain probabilities (no logs), and the CSV builder writes
-files by hand.
+oracle multiplies plain probabilities (no logs), the WordPiece oracle
+recounts every pair on every merge, and the CSV builder writes files by
+hand.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from moodlyrics.corpus import MoodLabel, clean_text
+from moodlyrics.errors import TokenizerError
 
 N_CLASSES = len(MoodLabel)
 
@@ -54,3 +57,60 @@ def write_counts_csv(path: Path, counts: dict[str, int]) -> Path:
             lines.append(f"{mood_name} {i},cat,some lyric words {i},{mood_name}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def wordpiece_full_recount(corpus, config) -> tuple[str, ...]:
+    """WordPiece tokens by the direct method: on every merge, recount every
+    adjacent pair of every word type (overlaps included, weighted by word
+    frequency), take the most frequent with ties to the smallest pair, stop
+    below a count of 2, and rewrite every word left to right without
+    overlaps. Raises the same :class:`TokenizerError` messages as
+    ``train_wordpiece``."""
+    specials = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"]
+    if len(corpus) == 0:
+        raise TokenizerError("cannot train a vocabulary on an empty corpus")
+    word_freq: Counter = Counter()
+    for rec in corpus:
+        text = clean_text(rec.lyrics)
+        word_freq.update((text.lower() if config.lowercase else text).split())
+    if not word_freq:
+        raise TokenizerError("corpus has no words after cleaning")
+
+    words = {w: [w[0]] + ["##" + ch for ch in w[1:]] for w in word_freq}
+    base = sorted({sym for syms in words.values() for sym in syms})
+    if len(specials) + len(base) > config.vocab_size:
+        raise TokenizerError(
+            f"vocab_size {config.vocab_size} cannot hold {len(specials)} "
+            f"special tokens plus {len(base)} character pieces"
+        )
+    tokens = specials + base
+    seen = set(tokens)
+
+    while len(tokens) < config.vocab_size:
+        pair_counts: Counter = Counter()
+        for word, syms in words.items():
+            for a, b in zip(syms, syms[1:]):
+                pair_counts[(a, b)] += word_freq[word]
+        if not pair_counts:
+            break
+        best_pair, best_count = min(
+            pair_counts.items(), key=lambda item: (-item[1], item[0])
+        )
+        if best_count < 2:
+            break
+        merged = best_pair[0] + best_pair[1][2:]
+        for word, syms in words.items():
+            out = []
+            i = 0
+            while i < len(syms):
+                if i + 1 < len(syms) and (syms[i], syms[i + 1]) == best_pair:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(syms[i])
+                    i += 1
+            words[word] = out
+        if merged not in seen:
+            tokens.append(merged)
+            seen.add(merged)
+    return tuple(tokens)

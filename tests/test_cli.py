@@ -125,8 +125,20 @@ class TestTrain:
             (["train", "--model", "bert", "--set", "epochs=abc"], "epochs='abc'"),
             (["train", "--model", "nb", "--set", "alpha=abc"], "alpha='abc'"),
             (["ingest", "--synthetic", "seed=x"], "seed='x'"),
+            (["train", "--model", "bert", "--set", "learning_rate=nan"], "learning_rate"),
+            (["train", "--model", "bert", "--set", "learning_rate=inf"], "learning_rate"),
+            (["train", "--model", "bert", "--set", "weight_decay=nan"], "weight_decay"),
+            (["train", "--model", "bert", "--set", "epsilon=inf"], "epsilon"),
+            (["train", "--model", "bert", "--set", "max_grad_norm=nan"], "max_grad_norm"),
+            (["train", "--model", "bert", "--set", "class_weights=1,nan,1,1"], "class_weights"),
+            (["train", "--model", "nb", "--set", "alpha=nan"], "alpha"),
+            (["train", "--model", "nb", "--set", "alpha=inf"], "alpha"),
         ],
-        ids=["bogus", "epochs-not-int", "alpha-not-float", "synthetic-seed-not-int"],
+        ids=[
+            "bogus", "epochs-not-int", "alpha-not-float", "synthetic-seed-not-int",
+            "learning-rate-nan", "learning-rate-inf", "weight-decay-nan", "epsilon-inf",
+            "max-grad-norm-nan", "class-weight-nan", "alpha-nan", "alpha-inf",
+        ],
     )
     def test_unknown_config_key_exits_2(self, corpus_csv, tmp_path, capsys, argv, named):
         if argv[0] == "train":
@@ -250,6 +262,23 @@ class TestPredict:
         assert run(["predict", "--checkpoint", nb_out / "model.nb",
                     "--file", lyrics_file]) == 0
         assert capsys.readouterr().out.startswith("mood=sad")
+
+
+@pytest.mark.parametrize("which", ["config", "vocab", "lyrics"])
+def test_non_utf8_file_exits_2(corpus_csv, trained, tmp_path, capsys, which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("vocab_size=400 # caf\xe9\n".encode("latin-1"))
+    checkpoint, vocab = trained / "checkpoint.ckpt", trained / "vocab.txt"
+    argv = {
+        "config": ["train", "--input", corpus_csv, "--model", "nb",
+                   "--config", bad, "--out", tmp_path / "o"],
+        "vocab": ["predict", "--checkpoint", checkpoint, "--vocab", bad, "--lyrics", "x"],
+        "lyrics": ["predict", "--checkpoint", checkpoint, "--vocab", vocab, "--file", bad],
+    }[which]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"not UTF-8: {bad}" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEnvironment:

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moodlyrics import tokenizer as tokenizer_module
 from moodlyrics.corpus import Corpus, MoodLabel, SongRecord
 from moodlyrics.errors import TokenizerError
 from moodlyrics.tokenizer import (
@@ -21,6 +24,8 @@ from moodlyrics.tokenizer import (
     word_tokenize,
     wordpiece_segment,
 )
+
+from oracles import wordpiece_full_recount
 
 
 def corpus_of(*texts):
@@ -96,6 +101,75 @@ class TestTrainWordpiece:
             for word in normalize_words(rec.lyrics, tok_config):
                 lengths.append(len(wordpiece_segment(word, vocab32)))
         assert sum(lengths) / len(lengths) < 2.0
+
+
+def tokens_or_error(fn):
+    try:
+        return fn()
+    except TokenizerError as exc:
+        return ("TokenizerError", str(exc))
+
+
+@st.composite
+def small_alphabet_corpora(draw):
+    """Songs over 1 to 3 letters, so that equal pair counts are common."""
+    letters = draw(st.lists(st.sampled_from("abcকখ"), min_size=1, max_size=3, unique=True))
+    word = st.text(alphabet=letters, min_size=1, max_size=8)
+    songs = draw(st.lists(st.lists(word, max_size=12).map(" ".join), max_size=5))
+    return corpus_of(*songs)
+
+
+class TestTrainerMatchesFullRecount:
+    """The incremental trainer against the oracle that recounts every pair
+    on every merge: same tokens, or the same error."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(corpus=small_alphabet_corpora(), vocab_size=st.integers(8, 200))
+    def test_random_small_alphabet_corpora(self, corpus, vocab_size):
+        config = TokenizerConfig(vocab_size=vocab_size, max_sequence_length=8)
+        assert tokens_or_error(
+            lambda: train_wordpiece(corpus, config).tokens
+        ) == tokens_or_error(lambda: wordpiece_full_recount(corpus, config))
+
+    @pytest.mark.parametrize("text", ["ab ab cd cd", "cd cd ab ab"])
+    def test_tie_goes_to_smallest_pair(self, text):
+        # (a, ##b) and (c, ##d) both occur twice; one merge fits the budget
+        config = TokenizerConfig(vocab_size=9, max_sequence_length=8)
+        tokens = train_wordpiece(corpus_of(text), config).tokens
+        assert tokens[-1] == "ab"
+        assert tokens == wordpiece_full_recount(corpus_of(text), config)
+
+    def test_stops_below_count_two(self):
+        config = TokenizerConfig(vocab_size=100, max_sequence_length=8)
+        once = train_wordpiece(corpus_of("ab cd"), config).tokens
+        assert once == SPECIAL_TOKENS + ("##b", "##d", "a", "c")
+        twice = train_wordpiece(corpus_of("ab cd ab"), config).tokens
+        assert twice == once + ("ab",)
+        for text in ("ab cd", "ab cd ab"):
+            assert train_wordpiece(corpus_of(text), config).tokens == (
+                wordpiece_full_recount(corpus_of(text), config)
+            )
+
+    def test_overlapping_pairs_count(self):
+        # "aaaa" is a ##a ##a ##a: it holds (##a, ##a) twice, so one word
+        # is enough to merge it
+        config = TokenizerConfig(vocab_size=100, max_sequence_length=8)
+        tokens = train_wordpiece(corpus_of("aaaa"), config).tokens
+        assert tokens == SPECIAL_TOKENS + ("##a", "a", "##aa")
+
+    def test_merge_product_already_a_token_adds_nothing(self, monkeypatch):
+        # No corpus searched makes two merges with one product, so force it:
+        # merging (c, ##d) also yields "ab". That round adds no token, and
+        # training goes on to (e, ##f).
+        real = tokenizer_module._merge_symbols
+        monkeypatch.setattr(
+            tokenizer_module,
+            "_merge_symbols",
+            lambda left, right: "ab" if left == "c" else real(left, right),
+        )
+        config = TokenizerConfig(vocab_size=100, max_sequence_length=8)
+        tokens = train_wordpiece(corpus_of("ab ab ab cd cd ef ef"), config).tokens
+        assert tokens == SPECIAL_TOKENS + ("##b", "##d", "##f", "a", "c", "e", "ab", "ef")
 
 
 class TestVocabulary:
