@@ -1,14 +1,18 @@
-"""Whole-file writes that never leave a half-written target.
+"""The one write path for every artifact: whole-file writes that never
+leave a half-written target.
 
 The bytes go to a sibling temporary file in the target's directory, which
 ``os.replace`` then renames over the target in one step. An interrupted or
 failed write leaves the previous file as it was and removes the temporary
 one. There is no fsync: this guards against a process that stops mid-write,
-not against power loss.
+not against power loss. Every CSV is RFC 4180 (minimal quoting, CRLF row
+ends) in UTF-8.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from collections.abc import Iterable
 from pathlib import Path
@@ -27,3 +31,10 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_csv(path: str | Path, rows: Iterable[Iterable]) -> Path:
+    """Write ``rows`` to ``path`` atomically as one CSV file."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return write_atomic(path, [buf.getvalue().encode("utf-8")])

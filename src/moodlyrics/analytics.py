@@ -10,11 +10,11 @@ identical input yields identical bytes.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._atomic import write_atomic, write_csv
 from .corpus import Corpus, SongRecord, clean_text
 from .errors import AnalyticsError
 from .tokenizer import word_tokenize
@@ -99,6 +99,10 @@ def emit_plot(series: list[Series], path: str | Path, kind: str) -> Path:
     ``series`` is a list of (name, points) pairs. For line and bar charts a
     point is (x, y); for a heatmap each series is one row and a point is
     (column, cell value). Deterministic bytes for identical input.
+
+    Each of the two files is written atomically, but not both as one
+    transaction: a failure while writing the sidecar leaves the new SVG
+    beside the previous sidecar.
     """
     if kind not in PLOT_KINDS:
         raise AnalyticsError(f"unknown plot kind {kind!r}, expected one of {PLOT_KINDS}")
@@ -111,33 +115,17 @@ def emit_plot(series: list[Series], path: str | Path, kind: str) -> Path:
         svg = _render_bar(series)
     else:
         svg = _render_line(series)
-    path.write_text(svg, encoding="utf-8")
-    sidecar = path.with_suffix(".csv")
-    with sidecar.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if len(series) > 1:
-            writer.writerow(["x", "y", "series"])
-            for name, points in series:
-                for x, y in points:
-                    writer.writerow([repr(float(x)), repr(float(y)), name])
-        else:
-            writer.writerow(["x", "y"])
-            for x, y in series[0][1]:
-                writer.writerow([repr(float(x)), repr(float(y))])
+    write_atomic(path, [svg.encode("utf-8")])
+    if len(series) > 1:
+        rows = [["x", "y", "series"]] + [
+            [repr(float(x)), repr(float(y)), name]
+            for name, points in series
+            for x, y in points
+        ]
+    else:
+        rows = [["x", "y"]] + [[repr(float(x)), repr(float(y))] for x, y in series[0][1]]
+    write_csv(path.with_suffix(".csv"), rows)
     return path
-
-
-def read_plot_csv(path: str | Path) -> list[Series]:
-    """Reload a sidecar CSV into (name, points) pairs, exactly as plotted."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        grouped: dict[str, list[tuple[float, float]]] = {}
-        for row in reader:
-            name = row[2] if len(header) == 3 else ""
-            grouped.setdefault(name, []).append((float(row[0]), float(row[1])))
-    return [(name, points) for name, points in grouped.items()]
 
 
 _WIDTH, _HEIGHT, _MARGIN = 640, 400, 60

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baseline, evaluation
-from ._atomic import write_atomic
+from ._atomic import write_atomic, write_csv
 from .analytics import density_curve, emit_plot, freq_dist, lexical_stats
 from .corpus import (
     DropReport,
@@ -241,8 +241,8 @@ def cmd_ingest(args) -> int:
     drop_lines = report.lines()
     for line in drop_lines:
         print(line, file=sys.stderr)
-    drops_path = out_dir / "drops.log"
-    drops_path.write_text("\n".join(drop_lines) + "\n", encoding="utf-8")
+    drops_text = "\n".join(drop_lines) + "\n"
+    drops_path = write_atomic(out_dir / "drops.log", [drops_text.encode("utf-8")])
     outputs.append(str(drops_path))
 
     dist = mood_distribution(corpus)
@@ -255,7 +255,7 @@ def cmd_ingest(args) -> int:
 
     manifest = RunManifest(
         command="ingest",
-        argv=list(sys.argv[1:]),
+        argv=args.argv,
         seed=None,
         derived_seeds={},
         config={"synthetic": args.synthetic},
@@ -279,22 +279,18 @@ def cmd_analyze(args) -> int:
 
     tokens = [tok for rec in corpus for tok in word_tokenize(clean_text(rec.lyrics))]
     table = freq_dist(tokens)
-    freq_path = out_dir / "freq.csv"
-    with freq_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("token,count\n")
-        for token, count in sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            fh.write(f"{token},{count}\n")
+    ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    freq_path = write_csv(out_dir / "freq.csv", [["token", "count"], *ranked])
     outputs.append(str(freq_path))
 
-    stats_path = out_dir / "lexical_stats.csv"
-    with stats_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("title,token_count,unique_count,type_token_ratio,lexical_density\n")
-        for rec in corpus:
-            stats = lexical_stats(rec)
-            fh.write(
-                f"{rec.title},{stats.token_count},{stats.unique_count},"
-                f"{stats.type_token_ratio!r},{stats.lexical_density!r}\n"
-            )
+    stats_rows = [
+        ["title", "token_count", "unique_count", "type_token_ratio", "lexical_density"]
+    ]
+    for rec in corpus:
+        stats = lexical_stats(rec)
+        stats_rows.append([rec.title, stats.token_count, stats.unique_count,
+                           repr(stats.type_token_ratio), repr(stats.lexical_density)])
+    stats_path = write_csv(out_dir / "lexical_stats.csv", stats_rows)
     outputs.append(str(stats_path))
 
     curve = density_curve(corpus, bin_width=args.bin_width)
@@ -313,7 +309,7 @@ def cmd_analyze(args) -> int:
 
     manifest = RunManifest(
         command="analyze",
-        argv=list(sys.argv[1:]),
+        argv=args.argv,
         seed=None,
         derived_seeds={},
         config={"bin_width": args.bin_width},
@@ -426,7 +422,7 @@ def cmd_train(args) -> int:
 
     manifest = RunManifest(
         command="train",
-        argv=list(sys.argv[1:]),
+        argv=args.argv,
         seed=args.seed,
         derived_seeds=seeds,
         config=config_snapshot,
@@ -495,8 +491,8 @@ def cmd_eval(args) -> int:
     matrix = evaluation.confusion(preds, golds)
     rep = evaluation.report(matrix)
     outputs: list[str] = []
-    report_txt = out_dir / "report.txt"
-    report_txt.write_text(evaluation.format_report(rep), encoding="utf-8")
+    report_bytes = evaluation.format_report(rep).encode("utf-8")
+    report_txt = write_atomic(out_dir / "report.txt", [report_bytes])
     outputs.append(str(report_txt))
     outputs.append(str(evaluation.save_report_csv(rep, out_dir / "report.csv")))
     outputs.append(str(evaluation.save_confusion_csv(matrix, out_dir / "confusion.csv")))
@@ -506,7 +502,7 @@ def cmd_eval(args) -> int:
 
     manifest = RunManifest(
         command="eval",
-        argv=list(sys.argv[1:]),
+        argv=args.argv,
         seed=args.seed,
         derived_seeds=seeds,
         config={"split": args.split, "checkpoint": str(args.checkpoint)},
@@ -606,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except MoodlyricsError as exc:

@@ -19,6 +19,7 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._atomic import write_csv
 from .errors import CorpusError
 
 CSV_HEADER = ["title", "category", "lyrics", "mood"]
@@ -173,13 +174,8 @@ def load_corpus(path: str | Path) -> tuple[Corpus, DropReport]:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:
     """Write a corpus back to CSV; load/save/load is identity on records."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in corpus:
-            writer.writerow([rec.title, rec.category, rec.lyrics, rec.mood.name.lower()])
-    return path
+    rows = [[rec.title, rec.category, rec.lyrics, rec.mood.name.lower()] for rec in corpus]
+    return write_csv(path, [CSV_HEADER, *rows])
 
 
 def mood_distribution(corpus: Corpus) -> MoodDistribution:

@@ -9,12 +9,12 @@ fixed mood encoding so reports are diffable across runs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_csv
 from .analytics import emit_plot
 from .corpus import MoodLabel
 from .errors import EvaluationError
@@ -136,45 +136,23 @@ def format_report(rep: EvalReport) -> str:
 
 
 def save_report_csv(rep: EvalReport, path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "f1", "support"])
-        for label in MoodLabel:
-            c = int(label)
-            writer.writerow(
-                [
-                    label.display,
-                    repr(float(rep.precision[c])),
-                    repr(float(rep.recall[c])),
-                    repr(float(rep.f1[c])),
-                    int(rep.support[c]),
-                ]
-            )
-        writer.writerow(["accuracy", repr(rep.accuracy), "", "", int(rep.support.sum())])
-        writer.writerow(
-            ["macro", repr(rep.macro_precision), repr(rep.macro_recall), repr(rep.macro_f1), ""]
-        )
-        writer.writerow(
-            [
-                "weighted",
-                repr(rep.weighted_precision),
-                repr(rep.weighted_recall),
-                repr(rep.weighted_f1),
-                "",
-            ]
-        )
-    return path
+    rows = [["class", "precision", "recall", "f1", "support"]]
+    for label in MoodLabel:
+        scores = (rep.precision[label], rep.recall[label], rep.f1[label])
+        rows.append([label.display, *(repr(float(s)) for s in scores), int(rep.support[label])])
+    rows += [
+        ["accuracy", repr(rep.accuracy), "", "", int(rep.support.sum())],
+        ["macro", repr(rep.macro_precision), repr(rep.macro_recall), repr(rep.macro_f1), ""],
+        ["weighted", repr(rep.weighted_precision), repr(rep.weighted_recall),
+         repr(rep.weighted_f1), ""],
+    ]
+    return write_csv(path, rows)
 
 
 def save_confusion_csv(matrix: ConfusionMatrix, path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred"] + [label.display for label in MoodLabel])
-        for label in MoodLabel:
-            writer.writerow([label.display] + [int(v) for v in matrix.cells[int(label)]])
-    return path
+    header = ["true\\pred"] + [label.display for label in MoodLabel]
+    rows = [[label.display] + [int(v) for v in matrix.cells[label]] for label in MoodLabel]
+    return write_csv(path, [header, *rows])
 
 
 def confusion_heatmap(matrix: ConfusionMatrix, path: str | Path) -> Path:

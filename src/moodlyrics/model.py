@@ -504,62 +504,6 @@ def predict(
     return MoodLabel(int(np.argmax(probs))), probs
 
 
-def gradient_check(
-    params: Parameters,
-    batch: list[EncodedExample],
-    eps: float = 1e-4,
-    max_entries_per_array: int | None = None,
-    seed: int = 0,
-    dropout_seed: int = 12345,
-    class_weights=None,
-) -> dict[str, float]:
-    """Max relative error between analytic and central-difference gradients,
-    per parameter array.
-
-    Dropout masks are replayed identically on every probe by reseeding the
-    generator, so the check is valid with dropout active. Use float64
-    parameters; float32 noise swamps the 1e-3 tolerance.
-    """
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
-
-    def loss_of() -> float:
-        trace = forward(
-            params, batch, mode="train", rng=np.random.default_rng(dropout_seed)
-        )
-        return cross_entropy(trace.logits, labels, class_weights)
-
-    trace = forward(
-        params, batch, mode="train", rng=np.random.default_rng(dropout_seed)
-    )
-    grads = backward(params, trace, labels, class_weights)
-
-    entry_rng = np.random.default_rng(seed)
-    errors: dict[str, float] = {}
-    for name, arr in params.items():
-        flat = arr.reshape(-1)
-        grad_flat = grads[name].reshape(-1)
-        if max_entries_per_array is None or flat.size <= max_entries_per_array:
-            indices = np.arange(flat.size)
-        else:
-            indices = np.sort(
-                entry_rng.choice(flat.size, size=max_entries_per_array, replace=False)
-            )
-        worst = 0.0
-        for idx in indices:
-            original = flat[idx]
-            flat[idx] = original + eps
-            loss_plus = loss_of()
-            flat[idx] = original - eps
-            loss_minus = loss_of()
-            flat[idx] = original
-            fd = (loss_plus - loss_minus) / (2.0 * eps)
-            analytic = float(grad_flat[idx])
-            denom = max(abs(fd), abs(analytic), 1e-6)
-            worst = max(worst, abs(fd - analytic) / denom)
-        errors[name] = worst
-    return errors
-
-
 def save_checkpoint(
     path: str | Path,
     params: Parameters,

@@ -10,8 +10,6 @@ and data produce identical histories and checkpoint bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._atomic import write_atomic
+from ._atomic import write_csv
 from .corpus import Corpus
 from .errors import TrainerError
 from .model import (
@@ -155,38 +153,9 @@ class TrainHistory:
         return len(self.val_acc)
 
     def save_csv(self, path: str | Path) -> Path:
-        """Write atomically, keeping the csv module's CRLF line endings."""
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(HISTORY_HEADER)
-        for i in range(len(self)):
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(self.train_loss[i]),
-                    repr(self.train_acc[i]),
-                    repr(self.val_loss[i]),
-                    repr(self.val_acc[i]),
-                ]
-            )
-        return write_atomic(path, [buf.getvalue().encode("utf-8")])
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "TrainHistory":
-        history = cls()
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != HISTORY_HEADER:
-                raise TrainerError(f"malformed history header: {header}")
-            for row in reader:
-                history.train_loss.append(float(row[1]))
-                history.train_acc.append(float(row[2]))
-                history.val_loss.append(float(row[3]))
-                history.val_acc.append(float(row[4]))
-        if history.val_acc:
-            history.best_epoch = best_epoch_index(history.val_acc)
-        return history
+        columns = (self.train_loss, self.train_acc, self.val_loss, self.val_acc)
+        rows = [[i + 1, *(repr(col[i]) for col in columns)] for i in range(len(self))]
+        return write_csv(path, [HISTORY_HEADER, *rows])
 
 
 def best_epoch_index(val_accuracies: list[float]) -> int:

@@ -25,7 +25,6 @@ from moodlyrics.evaluation import ConfusionMatrix, report
 from moodlyrics.model import (
     ModelConfig,
     forward,
-    gradient_check,
     init_model,
     load_checkpoint,
 )
@@ -51,6 +50,7 @@ from moodlyrics.trainer import (
 )
 from moodlyrics.model import Parameters
 
+from helpers import gradient_check
 from oracles import nb_brute_force_posterior, tokenize_like_baseline, write_counts_csv
 
 

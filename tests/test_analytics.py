@@ -5,10 +5,11 @@ from moodlyrics.analytics import (
     emit_plot,
     freq_dist,
     lexical_stats,
-    read_plot_csv,
 )
 from moodlyrics.corpus import Corpus, MoodLabel, SongRecord
 from moodlyrics.errors import AnalyticsError
+
+from helpers import read_plot_csv
 
 
 def song(lyrics, title="t"):

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -91,6 +92,21 @@ class TestAnalyze:
         assert run(["analyze", "--input", csv_path, "--out", out]) == 0
         lines = (out / "density_curve.csv").read_text().splitlines()
         assert len(lines) == 2  # header plus one point
+
+    def test_titles_needing_quotes_round_trip(self, tmp_path):
+        titles = ["Hello, World", 'say "hi"']
+        csv_path = tmp_path / "quoted.csv"
+        csv_path.write_text(
+            'title,category,lyrics,mood\n"Hello, World",x,la la,happy\n'
+            '"say ""hi""",x,la di,sad\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert run(["analyze", "--input", csv_path, "--out", out]) == 0
+        with (out / "lexical_stats.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 5 for row in rows), rows
+        assert [row[0] for row in rows[1:]] == titles
 
 
 class TestTrain:
@@ -290,6 +306,12 @@ class TestEnvironment:
 
 
 class TestManifests:
+    def test_records_the_argv_main_parsed(self, corpus_csv, tmp_path):
+        argv = ["analyze", "--input", str(corpus_csv), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+
     def manifest_covers_directory(self, out):
         manifest = json.loads((out / "manifest.json").read_text())
         listed = {Path(p).name for p in manifest["outputs"]}

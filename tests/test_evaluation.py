@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from moodlyrics.analytics import read_plot_csv
 from moodlyrics.corpus import MoodLabel
 from moodlyrics.errors import EvaluationError
 from moodlyrics.evaluation import (
@@ -15,6 +14,8 @@ from moodlyrics.evaluation import (
     save_report_csv,
 )
 from moodlyrics.trainer import TrainHistory
+
+from helpers import read_plot_csv
 
 H, S, R, X = MoodLabel.HAPPY, MoodLabel.SAD, MoodLabel.ROMANTIC, MoodLabel.RELAXED
 

@@ -12,7 +12,6 @@ from moodlyrics.model import (
     backward,
     cross_entropy,
     forward,
-    gradient_check,
     init_model,
     load_checkpoint,
     predict,
@@ -20,6 +19,8 @@ from moodlyrics.model import (
     softmax,
 )
 from moodlyrics.tokenizer import TokenizerConfig, encode
+
+from helpers import gradient_check
 
 
 def attention(

@@ -10,7 +10,6 @@ from moodlyrics.model import ModelConfig, Parameters, init_model, load_checkpoin
 from moodlyrics.tokenizer import TokenizerConfig, encode_corpus, train_wordpiece
 from moodlyrics.trainer import (
     TrainConfig,
-    TrainHistory,
     adamw_step,
     best_epoch_index,
     clip_grad_norm,
@@ -19,6 +18,8 @@ from moodlyrics.trainer import (
     linear_schedule,
     train,
 )
+
+from helpers import TrainHistory
 
 TINY_MODEL = ModelConfig(vocab_size=10, max_positions=8, num_layers=1,
                          hidden_size=8, num_heads=2, ffn_size=8)
