@@ -1,5 +1,6 @@
-"""The one write path for every artifact: whole-file writes that never
-leave a half-written target.
+"""The one read path for every user-supplied file, and the one write path
+for every artifact: whole-file writes that never leave a half-written
+target.
 
 The bytes go to a sibling temporary file in the target's directory, which
 ``os.replace`` then renames over the target in one step. An interrupted or
@@ -38,3 +39,26 @@ def write_csv(path: str | Path, rows: Iterable[Iterable]) -> Path:
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(rows)
     return write_atomic(path, [buf.getvalue().encode("utf-8")])
+
+
+def read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
+    """The bytes of the regular file ``path``, or ``error`` naming ``what``
+    and the path: "not found" for anything but a regular file (a FIFO would
+    block), "cannot be read" for any ``OSError``."""
+    path = Path(path)
+    try:
+        if not path.is_file():
+            raise error(f"{what} not found: {path}")
+        return path.read_bytes()
+    except OSError as exc:
+        raise error(f"{what} cannot be read ({exc.strerror}): {path}") from None
+
+
+def read_input_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    """:func:`read_input` decoded as strict UTF-8, line ends untranslated."""
+    data = read_input(path, what, error)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte {exc.start}"
+        raise error(f"{what} is not UTF-8: {Path(path)} ({where})") from None

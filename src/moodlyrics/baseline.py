@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_atomic
+from ._atomic import read_input_text, write_atomic
 from .corpus import Corpus, MoodLabel, clean_text
 from .errors import BaselineError
 from .model import softmax
@@ -102,12 +102,7 @@ def save_nb(model: NaiveBayesModel, path: str | Path) -> Path:
 
 def load_nb(path: str | Path) -> NaiveBayesModel:
     path = Path(path)
-    if not path.is_file():
-        raise BaselineError(f"model file not found: {path}")
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise BaselineError(f"model file is not UTF-8: {path}") from None
+    lines = read_input_text(path, "model file", BaselineError).splitlines()
     if not lines or lines[0] != NB_FORMAT:
         raise BaselineError(f"not a Naive Bayes model file: {path}")
     vocabulary: dict[str, int] = {}
@@ -115,6 +110,8 @@ def load_nb(path: str | Path) -> NaiveBayesModel:
     try:
         alpha = float(lines[1].split("\t")[1])
         priors = np.array([float(v) for v in lines[3].split("\t")[1:]])
+        if len(priors) != len(MoodLabel):
+            raise BaselineError(f"wrong number of priors in {path}")
         for line in lines[4:]:
             fields = line.split("\t")
             if fields[0] != "word" or len(fields) != 2 + len(MoodLabel):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baseline, evaluation
-from ._atomic import write_atomic, write_csv
+from ._atomic import read_input, read_input_text, write_atomic, write_csv
 from .analytics import density_curve, emit_plot, freq_dist, lexical_stats
 from .corpus import (
     DropReport,
@@ -80,11 +80,7 @@ class RunManifest:
 
 
 def _sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(read_input(path, "input file", UsageError)).hexdigest()
 
 
 def _fan_out_seeds(seed: int) -> dict[str, int]:
@@ -99,7 +95,10 @@ def _fan_out_seeds(seed: int) -> dict[str, int]:
 def _resolve_out(args) -> Path:
     out = args.out or os.environ.get("MOODLYRICS_OUT") or "moodlyrics_out"
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out_dir
 
 
@@ -144,12 +143,7 @@ def _read_config_pairs(args) -> dict[str, str]:
     pairs: dict[str, str] = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError:
-            raise UsageError(f"config file is not UTF-8: {path}") from None
+        lines = read_input_text(path, "config file", UsageError).splitlines()
         for lineno, line in enumerate(lines, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -436,13 +430,10 @@ def cmd_train(args) -> int:
 
 def _sniff_checkpoint(path: str | Path) -> str:
     path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"checkpoint not found: {path}")
-    with path.open("rb") as handle:
-        head = handle.read(32)
-    if head[:4] == b"MLCP":
+    data = read_input(path, "checkpoint", UsageError)
+    if data[:4] == b"MLCP":
         return "bert"
-    if head.startswith(b"moodlyrics-nb"):
+    if data.startswith(b"moodlyrics-nb"):
         return "nb"
     raise UsageError(f"unrecognized checkpoint format: {path}")
 
@@ -518,13 +509,7 @@ def cmd_predict(args) -> int:
     if args.lyrics is not None:
         lyrics = args.lyrics
     else:
-        path = Path(args.file)
-        if not path.is_file():
-            raise UsageError(f"lyrics file not found: {path}")
-        try:
-            lyrics = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise UsageError(f"lyrics file is not UTF-8: {path}") from None
+        lyrics = read_input_text(args.file, "lyrics file", UsageError)
     if not clean_text(lyrics):
         print(
             "warning: lyrics are empty after cleaning; prediction uses no content",

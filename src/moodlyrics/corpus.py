@@ -13,13 +13,14 @@ from __future__ import annotations
 import enum
 import csv
 import functools
+import io
 import math
 import random
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._atomic import write_csv
+from ._atomic import read_input_text, write_csv
 from .errors import CorpusError
 
 CSV_HEADER = ["title", "category", "lyrics", "mood"]
@@ -118,13 +119,11 @@ def clean_text(raw: str) -> str:
 
 
 def _csv_rows(fh, path: Path):
-    """The CSV reader's rows, with its decode and parse errors raised as
+    """The CSV reader's rows, with its parse errors raised as
     :class:`CorpusError` naming the file."""
     reader = csv.reader(fh)
     try:
         yield from reader
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
         raise CorpusError(f"{path}, line {reader.line_num}: {exc}") from None
 
@@ -132,41 +131,39 @@ def _csv_rows(fh, path: Path):
 def load_corpus(path: str | Path) -> tuple[Corpus, DropReport]:
     """Load a corpus CSV, dropping and counting invalid rows.
 
-    Raises :class:`CorpusError` on a missing file, bytes that are not UTF-8,
-    a row the CSV reader rejects (such as a field over its size limit), a
-    header that is not exactly ``title,category,lyrics,mood``, or zero
-    surviving rows.
+    Raises :class:`CorpusError` on a missing or unreadable file, bytes that
+    are not UTF-8, a row the CSV reader rejects (such as a field over its
+    size limit), a header that is not exactly ``title,category,lyrics,mood``,
+    or zero surviving rows.
     """
     path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"corpus file not found: {path}")
+    text = read_input_text(path, "corpus file", CorpusError)
     records: list[SongRecord] = []
     report = DropReport()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
+    reader = _csv_rows(io.StringIO(text, newline=""), path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusError(f"malformed header: {path} is empty") from None
+    if header != CSV_HEADER:
+        raise CorpusError(
+            f"malformed header {','.join(header)!r}, expected "
+            f"{','.join(CSV_HEADER)!r}"
+        )
+    for row in reader:
+        if len(row) != len(CSV_HEADER):
+            report.malformed += 1
+            continue
+        title, category, lyrics, mood_text = row
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"malformed header: {path} is empty") from None
-        if header != CSV_HEADER:
-            raise CorpusError(
-                f"malformed header {','.join(header)!r}, expected "
-                f"{','.join(CSV_HEADER)!r}"
-            )
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                report.malformed += 1
-                continue
-            title, category, lyrics, mood_text = row
-            try:
-                mood = MoodLabel.parse(mood_text)
-            except CorpusError:
-                report.bad_mood += 1
-                continue
-            if not clean_text(lyrics):
-                report.empty_lyrics += 1
-                continue
-            records.append(SongRecord(title, category, lyrics, mood))
+            mood = MoodLabel.parse(mood_text)
+        except CorpusError:
+            report.bad_mood += 1
+            continue
+        if not clean_text(lyrics):
+            report.empty_lyrics += 1
+            continue
+        records.append(SongRecord(title, category, lyrics, mood))
     if not records:
         raise CorpusError(f"zero surviving rows in {path}")
     return Corpus(tuple(records), str(path)), report

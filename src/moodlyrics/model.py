@@ -32,10 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._atomic import write_atomic
+from ._atomic import read_input, write_atomic
 from .corpus import MoodLabel
 from .errors import ModelError
-from .tokenizer import EncodedExample
+from .tokenizer import EncodedExample, TokenizerConfig
 
 LN_EPS = 1e-5
 
@@ -545,9 +545,7 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
     Returns (parameters, vocab hash, tokenizer settings dict or None).
     """
     path = Path(path)
-    if not path.is_file():
-        raise ModelError(f"checkpoint not found: {path}")
-    data = path.read_bytes()
+    data = read_input(path, "checkpoint", ModelError)
     if data[:4] != CHECKPOINT_MAGIC:
         raise ModelError(f"not a model checkpoint: {path}")
     if len(data) < 12:
@@ -560,6 +558,9 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
         config = ModelConfig(**header["model"])
         listed = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
         vocab_hash = header["vocab_sha256"]
+        tokenizer = header.get("tokenizer")
+        if tokenizer is not None:
+            TokenizerConfig(**tokenizer)
     except (ValueError, TypeError, KeyError) as exc:
         raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
     expected = param_shapes(config)
@@ -579,4 +580,4 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
         offset += 4 * count
     if offset != len(data):
         raise ModelError(f"trailing bytes in checkpoint: {path}")
-    return Parameters(config, arrays), vocab_hash, header.get("tokenizer")
+    return Parameters(config, arrays), vocab_hash, tokenizer

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_atomic
+from ._atomic import read_input_text, write_atomic
 from .corpus import Corpus, MoodLabel, clean_text
 from .errors import TokenizerError
 
@@ -81,14 +81,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        path = Path(path)
-        if not path.is_file():
-            raise TokenizerError(f"vocabulary file not found: {path}")
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError:
-            raise TokenizerError(f"vocabulary file is not UTF-8: {path}") from None
-        return cls(tuple(lines))
+        text = read_input_text(path, "vocabulary file", TokenizerError)
+        return cls(tuple(text.splitlines()))
 
     def sha256(self) -> str:
         """Hash of the serialized token list; identifies the vocabulary."""

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import errno
+import os
 import time
 from pathlib import Path
 
@@ -125,3 +126,84 @@ def test_every_file_write_goes_through_atomic_module():
 )
 def test_write_guard_finds_writes(code, hits):
     assert len(list(_file_writes(ast.parse(code)))) == hits
+
+
+_READ_METHODS = {"open", "read_text", "read_bytes", "is_file"}
+
+
+def _file_reads(tree: ast.AST):
+    """Line numbers of calls that open, read or stat a file."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr in _READ_METHODS
+        ):
+            yield node.lineno
+
+
+def test_every_file_read_goes_through_atomic_module():
+    package = Path(moodlyrics.__file__).parent
+    offenders = [
+        f"{source.name}:{line}"
+        for source in sorted(package.glob("*.py"))
+        if source.name != "_atomic.py"
+        for line in _file_reads(ast.parse(source.read_text(encoding="utf-8")))
+    ]
+    assert offenders == [], "read through _atomic.read_input or read_input_text instead"
+
+
+@pytest.mark.parametrize(
+    "code, hits",
+    [
+        ("open(p)", 1),
+        ("with p.open(newline='') as fh: fh.read()", 1),
+        ("p.read_text(encoding='utf-8')", 1),
+        ("p.read_bytes()", 1),
+        ("p.is_file()", 1),
+        ("open(p, 'wb'); p.open('rb')", 2),
+        ("read_input(p, 'x', E); _svg_open(t); fh.read(); p.exists(); p.name", 0),
+    ],
+)
+def test_read_guard_finds_reads(code, hits):
+    assert len(list(_file_reads(ast.parse(code)))) == hits
+
+
+class _InputError(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda d: d / "missing.txt", "thing not found: "),
+        (lambda d: d, "thing not found: "),
+        (lambda d: d / ("x" * 5000), "thing cannot be read (File name too long): "),
+    ],
+    ids=["missing", "directory", "name-too-long"],
+)
+def test_read_input_names_the_file(tmp_path, make, message):
+    path = make(tmp_path)
+    with pytest.raises(_InputError) as excinfo:
+        _atomic.read_input(path, "thing", _InputError)
+    assert str(excinfo.value) == f"{message}{path}"
+
+
+def test_read_input_refuses_a_fifo_without_blocking(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with pytest.raises(_InputError, match="not found"):
+        _atomic.read_input(fifo, "thing", _InputError)
+
+
+def test_read_input_text_is_strict_utf8_without_newline_translation(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("a\r\nb\rগান\n".encode("utf-8"))
+    assert _atomic.read_input_text(path, "thing", _InputError) == "a\r\nb\rগান\n"
+    path.write_bytes(b"ok\n\xe9\n")
+    with pytest.raises(_InputError) as excinfo:
+        _atomic.read_input_text(path, "thing", _InputError)
+    assert str(excinfo.value) == (
+        f"thing is not UTF-8: {path} (invalid continuation byte at byte 3)"
+    )

@@ -153,8 +153,11 @@ class TestSerialization:
             b"moodlyrics-nb v1\n",
             b"moodlyrics-nb v1\nalpha\tabc\nclasses\npriors\t0\t0\t0\t0\n",
             b"moodlyrics-nb v1\nalpha\t1.0\n\xff\xfe\n",
+            b"moodlyrics-nb v1\nalpha\t1.0\nclasses\thappy\tsad\tromantic\trelaxed\n"
+            b"priors\t-1.4\t-1.4\t-1.4\nword\tx\t-1.0\t-1.0\t-1.0\t-1.0\n",
         ],
-        ids=["not-a-model", "format-line-only", "alpha-not-float", "not-utf8"],
+        ids=["not-a-model", "format-line-only", "alpha-not-float", "not-utf8",
+             "three-priors"],
     )
     def test_rejects_garbage_file(self, tmp_path, data):
         path = tmp_path / "bad.nb"

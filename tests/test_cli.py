@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlyrics.cli import main
 from moodlyrics.corpus import load_corpus, save_corpus, synthesize_corpus
@@ -280,12 +285,13 @@ class TestPredict:
         assert capsys.readouterr().out.startswith("mood=sad")
 
 
-@pytest.mark.parametrize("which", ["config", "vocab", "lyrics"])
+@pytest.mark.parametrize("which", ["config", "vocab", "lyrics", "corpus"])
 def test_non_utf8_file_exits_2(corpus_csv, trained, tmp_path, capsys, which):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("vocab_size=400 # caf\xe9\n".encode("latin-1"))
     checkpoint, vocab = trained / "checkpoint.ckpt", trained / "vocab.txt"
     argv = {
+        "corpus": ["analyze", "--input", bad, "--out", tmp_path / "o"],
         "config": ["train", "--input", corpus_csv, "--model", "nb",
                    "--config", bad, "--out", tmp_path / "o"],
         "vocab": ["predict", "--checkpoint", checkpoint, "--vocab", bad, "--lyrics", "x"],
@@ -295,6 +301,97 @@ def test_non_utf8_file_exits_2(corpus_csv, trained, tmp_path, capsys, which):
     err = capsys.readouterr().err
     assert f"not UTF-8: {bad}" in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_one_error_line(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["ingest", "analyze", "checkpoint", "config", "predict-vocab", "eval-vocab", "lyrics"],
+)
+def test_over_long_file_name_exits_2(corpus_csv, trained, tmp_path, capsys, which):
+    long = tmp_path / ("x" * 5000)
+    checkpoint, vocab = trained / "checkpoint.ckpt", trained / "vocab.txt"
+    out = tmp_path / "o"
+    argv = {
+        "ingest": ["ingest", "--input", long, "--out", out],
+        "analyze": ["analyze", "--input", long, "--out", out],
+        "checkpoint": ["predict", "--checkpoint", long, "--lyrics", "x"],
+        "config": ["train", "--input", corpus_csv, "--model", "nb",
+                   "--config", long, "--out", out],
+        "predict-vocab": ["predict", "--checkpoint", checkpoint, "--vocab", long,
+                          "--lyrics", "x"],
+        "eval-vocab": ["eval", "--checkpoint", checkpoint, "--vocab", long,
+                       "--input", corpus_csv, "--out", out],
+        "lyrics": ["predict", "--checkpoint", checkpoint, "--vocab", vocab,
+                   "--file", long],
+    }[which]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert f"cannot be read (File name too long): {long}" in err
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    code = run(["ingest", "--synthetic", "seed=1,per_class=2", "--out", taken])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert f"cannot create output directory {taken}" in err
+
+
+def with_header(checkpoint: bytes, edit) -> bytes:
+    """``checkpoint`` with ``edit`` applied to its JSON header dict."""
+    version, header_len = struct.unpack("<II", checkpoint[4:12])
+    header = json.loads(checkpoint[12 : 12 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return (checkpoint[:4] + struct.pack("<II", version, len(blob)) + blob
+            + checkpoint[12 + header_len :])
+
+
+@pytest.fixture(scope="module")
+def nb_model(corpus_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("nb")
+    assert run(["train", "--input", corpus_csv, "--model", "nb",
+                "--out", out, "--seed", 42]) == 0
+    return out / "model.nb"
+
+
+def _short_priors(nb_text: str) -> str:
+    lines = nb_text.split("\n")
+    lines[3] = "\t".join(lines[3].split("\t")[:-1])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["tokenizer-unknown-key", "tokenizer-length-not-int", "tokenizer-not-a-mapping",
+     "nb-priors-short"],
+)
+def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
+    checkpoint = (trained / "checkpoint.ckpt").read_bytes()
+    bad = tmp_path / "bad.model"
+    if which == "nb-priors-short":
+        bad.write_text(_short_priors(nb_model.read_text(encoding="utf-8")),
+                       encoding="utf-8")
+    else:
+        edit = {
+            "tokenizer-unknown-key": lambda h: h["tokenizer"].update(lowercsae=True),
+            "tokenizer-length-not-int":
+                lambda h: h["tokenizer"].update(max_sequence_length="24"),
+            "tokenizer-not-a-mapping": lambda h: h.update(tokenizer=5),
+        }[which]
+        bad.write_bytes(with_header(checkpoint, edit))
+    code = run(["predict", "--checkpoint", bad, "--vocab", trained / "vocab.txt",
+                "--lyrics", "ভালোবাসা প্রেম"])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert str(bad) in err
 
 
 class TestEnvironment:
@@ -360,3 +457,84 @@ class TestPipelineDeterminism:
                         "--out", out, "--seed", 42]) == 0
             outs.append(out)
         self.artifacts_identical(*outs)
+
+
+def mutate(data: bytes, kind: str, at: int) -> bytes:
+    """``data`` cut at an offset, with one bit flipped, or re-encoded as
+    UTF-16 (bytes that are not UTF-8 are replaced first)."""
+    if kind == "truncate":
+        return data[: at % (len(data) + 1)]
+    if kind == "flip":
+        bit = at % (8 * len(data))
+        flipped = data[bit // 8] ^ (1 << bit % 8)
+        return data[: bit // 8] + bytes([flipped]) + data[bit // 8 + 1 :]
+    return data.decode("utf-8", errors="replace").encode("utf-16")
+
+
+MUTATIONS = st.tuples(st.sampled_from(["truncate", "flip", "utf16"]),
+                      st.integers(min_value=0, max_value=2**32))
+MUTATED = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+LYRICS = "ভালোবাসা প্রেম\nদুঃখ কান্না বিরহ\n"
+CONFIG = "# desk run\nalpha=0.5\nepochs=2\nlowercase=true\nclass_weights=1,1,1,2.5\n"
+
+
+class TestMutatedInputs:
+    """A mutated input file exits 0, or exits 2 with one ``error:`` line
+    and no traceback; it never exits 1."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated")
+
+    def check(self, scratch, original: bytes, mutation, argv_for) -> None:
+        target = scratch / "input"
+        target.write_bytes(mutate(original, *mutation))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv_for(target))
+        err = err.getvalue()
+        assert "Traceback" not in err, err
+        assert code in (0, 2), err
+        if code == 2:
+            assert sum(ln.startswith("error: ") for ln in err.splitlines()) == 1, err
+
+    @MUTATED
+    @given(mutation=MUTATIONS)
+    def test_checkpoint(self, trained, scratch, mutation):
+        self.check(scratch, (trained / "checkpoint.ckpt").read_bytes(), mutation,
+                   lambda m: ["predict", "--checkpoint", m, "--vocab",
+                              trained / "vocab.txt", "--lyrics", LYRICS])
+
+    @MUTATED
+    @given(mutation=MUTATIONS)
+    def test_nb_model(self, nb_model, scratch, mutation):
+        self.check(scratch, nb_model.read_bytes(), mutation,
+                   lambda m: ["predict", "--checkpoint", m, "--lyrics", LYRICS])
+
+    @MUTATED
+    @given(mutation=MUTATIONS)
+    def test_vocabulary(self, trained, scratch, mutation):
+        self.check(scratch, (trained / "vocab.txt").read_bytes(), mutation,
+                   lambda m: ["predict", "--checkpoint", trained / "checkpoint.ckpt",
+                              "--vocab", m, "--lyrics", LYRICS])
+
+    @MUTATED
+    @given(mutation=MUTATIONS)
+    def test_corpus(self, corpus_csv, scratch, mutation):
+        self.check(scratch, corpus_csv.read_bytes(), mutation,
+                   lambda m: ["train", "--input", m, "--model", "nb",
+                              "--out", scratch / "out"])
+
+    @MUTATED
+    @given(mutation=MUTATIONS)
+    def test_config(self, corpus_csv, scratch, mutation):
+        self.check(scratch, CONFIG.encode("utf-8"), mutation,
+                   lambda m: ["train", "--input", corpus_csv, "--model", "nb",
+                              "--config", m, "--out", scratch / "out"])
+
+    @MUTATED
+    @given(mutation=MUTATIONS)
+    def test_lyrics(self, trained, scratch, mutation):
+        self.check(scratch, LYRICS.encode("utf-8"), mutation,
+                   lambda m: ["predict", "--checkpoint", trained / "checkpoint.ckpt",
+                              "--vocab", trained / "vocab.txt", "--file", m])
