@@ -36,10 +36,9 @@ def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     ``key_mask`` is [B, Lk]; masked key positions get probability exactly 0.
     Every mask row must have at least one nonzero entry.
     """
-    bias = np.where(key_mask[:, None, None, :] > 0, 0.0, -np.inf)
-    shifted = scores + bias.astype(scores.dtype)
-    shifted -= shifted.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
+    probs = np.where(key_mask[:, None, None, :] > 0, scores, scores.dtype.type(-np.inf))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 

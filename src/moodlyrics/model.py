@@ -2,7 +2,9 @@
 
 Post-norm encoder layers (multi-head self-attention, then a position-wise
 feed-forward block with GELU), token plus learned position embeddings, and
-a linear head over the first position's final hidden state. Forward caches
+a linear head over the first position's final hidden state, so the last
+layer runs the query, attention output, add-norms and FFN for that [CLS]
+row alone (its keys and values still cover every row). Forward caches
 everything exact backpropagation needs; dropout runs only in train mode
 from a caller-supplied generator, and the recorded masks are replayed in
 backward.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,9 @@ BUCKET_MULTIPLE = 8
 
 CHECKPOINT_MAGIC = b"MLCP"
 CHECKPOINT_VERSION = 1
+
+# the JSON value types each config field annotation accepts (a bool is no int)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -258,9 +263,10 @@ def forward(
 # cache and the output gradient as [rows, features], adds its parameter
 # gradients into ``grads`` and returns the input gradient as [rows, features].
 # Forward arrays keep their (B, b, ...) shape, so every projection runs as a
-# (B, b, H) @ (H, F) matmul: one GEMM per example at its own bucket length b,
-# which depends on that example's mask alone, so its logits are bit-identical
-# whatever the rest of the batch contains. Backward reads [rows, ...] views.
+# (B, b, H) @ (H, F) matmul: one GEMM per example at its own bucket length b
+# (1 for the [CLS] row), which depends on that example's mask alone, so its
+# logits are bit-identical whatever the rest of the batch contains. Backward
+# reads [rows, ...] views.
 
 
 def _linear(params: Parameters, prefix: str, key: str, x: np.ndarray) -> np.ndarray:
@@ -278,12 +284,13 @@ def _linear_backward(
     return dout @ params[w].T
 
 
-def _dropout(x: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout; the cache is the scaled keep mask, or None when
-    ``rng`` is None (dropout off)."""
+def _dropout(x: np.ndarray, rate: float, rng, shape) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout; the cache is the scaled keep mask, or None when ``rng``
+    is None (dropout off). The mask is drawn at [B, b, H] ``shape``, then cut
+    to ``x``'s rows, so a [CLS]-only layer draws what a full layer draws."""
     if rng is None:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    keep = (rng.random(shape)[:, : x.shape[1]] >= rate).astype(x.dtype)
     mask = keep / x.dtype.type(1.0 - rate)
     return x * mask, mask
 
@@ -315,47 +322,52 @@ def _add_norm_backward(
 
 
 def _attention(
-    params: Parameters, prefix: str, x: np.ndarray, maskf: np.ndarray
+    params: Parameters, prefix: str, xq: np.ndarray, x: np.ndarray, maskf: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    """Multi-head self-attention over [B, b, H] with [B, b] key mask."""
+    """Multi-head attention of the [B, lq, H] query rows ``xq`` (leading rows
+    of ``x``) over keys and values from all [B, b, H] rows, [B, b] key mask."""
     cfg = params.config
-    batch_size, length, hidden = x.shape
-    heads = (batch_size, length, cfg.num_heads, cfg.head_size)
     q, k, v = (
-        _linear(params, prefix, key, x).reshape(heads).transpose(0, 2, 1, 3)
-        for key in "qkv"
+        _linear(params, prefix, key, rows)
+        .reshape(*rows.shape[:2], cfg.num_heads, cfg.head_size)
+        .transpose(0, 2, 1, 3)
+        for key, rows in (("q", xq), ("k", x), ("v", x))
     )
-    scale = params.dtype.type(1.0 / np.sqrt(cfg.head_size))
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores *= params.dtype.type(1.0 / np.sqrt(cfg.head_size))
     probs = _kernels.masked_softmax(scores, maskf)
     ctx = np.ascontiguousarray(
-        np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(batch_size, length, hidden)
+        np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(xq.shape)
     )
-    return _linear(params, prefix, "o", ctx), (x, q, k, v, probs, ctx)
+    return _linear(params, prefix, "o", ctx), (xq, x, q, k, v, probs, ctx)
 
 
 def _attention_backward(
     params: Parameters, grads: dict, prefix: str, cache: tuple, dout: np.ndarray, dx: np.ndarray
 ) -> np.ndarray:
-    """Adds the input gradient to ``dx``, the gradient that already reaches
-    the input along the residual path, one projection at a time in q, k, v
+    """Input gradient of every row of ``x``: ``dx``, the residual gradient of
+    the query rows, then the q, k and v projections' gradients added in that
     order (the order fixes the float result)."""
-    x, q, k, v, probs, ctx = cache
-    batch_size, num_heads, length, head_size = q.shape
+    xq, x, q, k, v, probs, ctx = cache
+    batch_size, num_heads, rows, head_size = q.shape
     dctx = _linear_backward(params, grads, prefix, "o", ctx, dout)
-    dctx = dctx.reshape(batch_size, length, num_heads, head_size).transpose(0, 2, 1, 3)
+    dctx = dctx.reshape(batch_size, rows, num_heads, head_size).transpose(0, 2, 1, 3)
     dprobs = np.matmul(dctx, v.transpose(0, 1, 3, 2))
     dv = np.matmul(probs.transpose(0, 1, 3, 2), dctx)
-    # softmax backward; masked entries have probs exactly 0, so no
-    # gradient leaks through padding
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
-    dscores = probs * (dprobs - inner) * params.dtype.type(1.0 / np.sqrt(head_size))
-    dq = np.matmul(dscores, k)
-    dk = np.matmul(dscores.transpose(0, 1, 3, 2), q)
-    for key, d in (("q", dq), ("k", dk), ("v", dv)):
-        d = np.ascontiguousarray(d.transpose(0, 2, 1, 3).reshape(dout.shape))
-        dx = dx + _linear_backward(params, grads, prefix, key, x, d)
-    return dx
+    # softmax backward, in place: dprobs becomes the scores' gradient;
+    # masked entries have probs exactly 0, so no gradient leaks through padding
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dprobs *= probs
+    dprobs *= params.dtype.type(1.0 / np.sqrt(head_size))
+    dq = np.matmul(dprobs, k)
+    dk = np.matmul(dprobs.transpose(0, 1, 3, 2), q)
+    dx_in = np.zeros_like(x)
+    dx_in[:, :rows] = dx.reshape(xq.shape)
+    for key, inp, d in (("q", xq, dq), ("k", x, dk), ("v", x, dv)):
+        d = np.ascontiguousarray(d.transpose(0, 2, 1, 3).reshape(-1, x.shape[-1]))
+        d = _linear_backward(params, grads, prefix, key, inp, d)
+        dx_in[:, : inp.shape[1]] += d.reshape(inp.shape)
+    return dx_in.reshape(-1, x.shape[-1])
 
 
 def _ffn(params: Parameters, prefix: str, x: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -375,16 +387,17 @@ def _ffn_backward(
 
 
 def _layer_forward(
-    params: Parameters, prefix: str, x: np.ndarray, maskf: np.ndarray, rng
+    params: Parameters, prefix: str, xq: np.ndarray, x: np.ndarray, maskf: np.ndarray, rng
 ) -> tuple[np.ndarray, tuple]:
-    """One encoder layer: LayerNorm(x + Dropout(Sublayer(x))) for the
-    attention sublayer, then for the feed-forward sublayer."""
+    """One encoder layer over the query rows ``xq``, leading rows of ``x``:
+    LayerNorm(xq + Dropout(Sublayer(xq))) for attention over all of ``x``,
+    then for the feed-forward sublayer."""
     rate = params.config.dropout_rate
-    attn_out, attn = _attention(params, f"{prefix}.attn", x, maskf)
-    attn_out, drop1 = _dropout(attn_out, rate, rng)
-    y1, norm1 = _add_norm(params, f"{prefix}.ln1", x, attn_out)
+    attn_out, attn = _attention(params, f"{prefix}.attn", xq, x, maskf)
+    attn_out, drop1 = _dropout(attn_out, rate, rng, x.shape)
+    y1, norm1 = _add_norm(params, f"{prefix}.ln1", xq, attn_out)
     ffn_out, ffn = _ffn(params, f"{prefix}.ffn", y1)
-    ffn_out, drop2 = _dropout(ffn_out, rate, rng)
+    ffn_out, drop2 = _dropout(ffn_out, rate, rng, x.shape)
     y2, norm2 = _add_norm(params, f"{prefix}.ln2", y1, ffn_out)
     return y2, (attn, drop1, norm1, ffn, drop2, norm2)
 
@@ -414,11 +427,12 @@ def _bucket_forward(
     bucket length; ``rng`` is None when dropout is off."""
     cfg = params.config
     x = params["tok_emb"][ids] + params["pos_emb"][: ids.shape[1]]
-    x, emb_drop = _dropout(x, cfg.dropout_rate, rng)
+    x, emb_drop = _dropout(x, cfg.dropout_rate, rng, x.shape)
     x = np.ascontiguousarray(x)
     layers = []
     for i in range(cfg.num_layers):
-        x, cache = _layer_forward(params, f"layers.{i}", x, maskf, rng)
+        xq = x[:, :1] if i == cfg.num_layers - 1 else x  # the head reads only [CLS]
+        x, cache = _layer_forward(params, f"layers.{i}", xq, x, maskf, rng)
         layers.append(cache)
     h_cls = x[:, 0, :]
     logits = _linear(params, "head", "", h_cls[:, None, :])[:, 0, :]
@@ -483,10 +497,7 @@ def _bucket_backward(
     """Add one bucket's parameter gradients into ``grads``."""
     cfg = params.config
     batch_size, length = bucket.ids.shape
-    dh_cls = _linear_backward(params, grads, "head", "", bucket.h_cls, d_logits)
-    dx = np.zeros((batch_size, length, cfg.hidden_size), dtype=params.dtype)
-    dx[:, 0, :] = dh_cls
-    dx = dx.reshape(batch_size * length, cfg.hidden_size)
+    dx = _linear_backward(params, grads, "head", "", bucket.h_cls, d_logits)
     for i in reversed(range(cfg.num_layers)):
         dx = _layer_backward(params, grads, f"layers.{i}", bucket.layers[i], dx)
     dx0 = _dropout_backward(bucket.emb_drop, dx)
@@ -538,6 +549,15 @@ def save_checkpoint(
     return write_atomic(path, chunks())
 
 
+def _config_from_json(cls, values):
+    """``cls(**values)`` once each value read from JSON has its field's type:
+    an integer for an int field, any number for a float field."""
+    for field in fields(cls):
+        if field.name in values and type(values[field.name]) not in _JSON_TYPES[field.type]:
+            raise TypeError(f"{field.name} must be a JSON {field.type}, got {values[field.name]!r}")
+    return cls(**values)
+
+
 def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
     """Read a checkpoint, validating magic, version, and array shapes
     against the stored config.
@@ -555,12 +575,16 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
         raise ModelError(f"unsupported checkpoint version {version}")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-        config = ModelConfig(**header["model"])
+        config = _config_from_json(ModelConfig, header["model"])
         listed = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
         vocab_hash = header["vocab_sha256"]
+        if not isinstance(vocab_hash, str):
+            raise TypeError(f"vocab_sha256 must be a string, got {vocab_hash!r}")
         tokenizer = header.get("tokenizer")
         if tokenizer is not None:
-            TokenizerConfig(**tokenizer)
+            length = _config_from_json(TokenizerConfig, tokenizer).max_sequence_length
+            if length > config.max_positions:
+                raise ValueError(f"tokenizer length {length} exceeds max_positions")
     except (ValueError, TypeError, KeyError) as exc:
         raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
     expected = param_shapes(config)
@@ -569,7 +593,7 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + header_len
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+        shape = expected[entry["name"]]
         count = int(np.prod(shape))
         raw = data[offset : offset + 4 * count]
         if len(raw) != 4 * count:

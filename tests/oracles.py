@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the Naive Bayes
 oracle multiplies plain probabilities (no logs), the WordPiece oracle
-recounts every pair on every merge, and the CSV builder writes files by
-hand.
+recounts every pair on every merge, the encoder oracle runs one example at
+full length with every query row in every layer, and the CSV builder
+writes files by hand.
 """
 
 from collections import Counter
@@ -114,3 +115,37 @@ def wordpiece_full_recount(corpus, config) -> tuple[str, ...]:
             tokens.append(merged)
             seen.add(merged)
     return tuple(tokens)
+
+
+def full_encoder_logits(params, example) -> np.ndarray:
+    """Eval-mode logits of one example by a plain float64 encoder: the whole
+    encoded length (no buckets), every query row in every layer, masked keys
+    left out of each head's softmax, post-norm layers (layer-norm epsilon
+    1e-5) and the tanh form of GELU."""
+    cfg = params.config
+    p = {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()}
+    keys = np.flatnonzero(example.mask)
+    d = cfg.head_size
+
+    def layer_norm(z, gain, bias):
+        centered = z - z.mean(axis=1, keepdims=True)
+        std = np.sqrt((centered**2).mean(axis=1, keepdims=True) + 1e-5)
+        return centered / std * gain + bias
+
+    x = p["tok_emb"][example.ids] + p["pos_emb"][: len(example.ids)]
+    for i in range(cfg.num_layers):
+        w = {name[len(f"layers.{i}.") :]: arr for name, arr in p.items()
+             if name.startswith(f"layers.{i}.")}
+        q, k, v = (x @ w[f"attn.w{n}"] + w[f"attn.b{n}"] for n in "qkv")
+        ctx = np.empty_like(x)
+        for h in range(cfg.num_heads):
+            cols = slice(h * d, (h + 1) * d)
+            scores = q[:, cols] @ k[keys, cols].T / np.sqrt(d)
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights /= weights.sum(axis=1, keepdims=True)
+            ctx[:, cols] = weights @ v[keys, cols]
+        x = layer_norm(x + ctx @ w["attn.wo"] + w["attn.bo"], w["ln1.g"], w["ln1.b"])
+        u = x @ w["ffn.w1"] + w["ffn.b1"]
+        gelu = 0.5 * u * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * u**3)))
+        x = layer_norm(x + gelu @ w["ffn.w2"] + w["ffn.b2"], w["ln2.g"], w["ln2.b"])
+    return x[0] @ p["head.w"] + p["head.b"]

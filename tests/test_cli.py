@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -371,6 +372,8 @@ def _short_priors(nb_text: str) -> str:
 @pytest.mark.parametrize(
     "which",
     ["tokenizer-unknown-key", "tokenizer-length-not-int", "tokenizer-not-a-mapping",
+     "model-hidden-float", "model-heads-bool", "tokenizer-length-float",
+     "tokenizer-length-inf", "tokenizer-length-past-model", "vocab-hash-not-a-string",
      "nb-priors-short"],
 )
 def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
@@ -385,6 +388,18 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
             "tokenizer-length-not-int":
                 lambda h: h["tokenizer"].update(max_sequence_length="24"),
             "tokenizer-not-a-mapping": lambda h: h.update(tokenizer=5),
+            "model-hidden-float":
+                lambda h: h["model"].update(hidden_size=float(h["model"]["hidden_size"])),
+            "model-heads-bool": lambda h: h["model"].update(num_heads=True),
+            "tokenizer-length-float":
+                lambda h: h["tokenizer"].update(
+                    max_sequence_length=float(h["tokenizer"]["max_sequence_length"])),
+            # json writes inf as Infinity; 1e400 parses to the same float
+            "tokenizer-length-inf":
+                lambda h: h["tokenizer"].update(max_sequence_length=math.inf),
+            "tokenizer-length-past-model":
+                lambda h: h["tokenizer"].update(max_sequence_length=10**400),
+            "vocab-hash-not-a-string": lambda h: h.update(vocab_sha256=5),
         }[which]
         bad.write_bytes(with_header(checkpoint, edit))
     code = run(["predict", "--checkpoint", bad, "--vocab", trained / "vocab.txt",

@@ -21,6 +21,7 @@ from moodlyrics.model import (
 from moodlyrics.tokenizer import TokenizerConfig, encode
 
 from helpers import gradient_check
+from oracles import full_encoder_logits
 
 
 def attention(
@@ -369,6 +370,43 @@ class TestBuckets:
         )
         worst = max(errors.values())
         assert worst <= 1e-3, f"worst relative error {worst:.2e}"
+
+
+class TestFullLengthOracle:
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_eval_forward_matches_full_encoder(
+        self, synth32, vocab32, tok_config, num_layers, num_heads
+    ):
+        config = ModelConfig(vocab_size=len(vocab32), max_positions=32,
+                             num_layers=num_layers, hidden_size=8,
+                             num_heads=num_heads, ffn_size=16, seed=num_layers)
+        params = init_model(config, dtype=np.float64)
+        for arr in params.arrays.values():
+            if arr.ndim > 1:
+                arr *= 25.0  # weights of std 0.5, so attention is far from uniform
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)
+        assert len({bucket_of(ex) for ex in batch}) >= 2
+        logits = forward(params, batch, mode="eval").logits
+        for i, example in enumerate(batch):
+            expected = full_encoder_logits(params, example)
+            assert np.allclose(logits[i], expected, rtol=0.0, atol=1e-12), i
+
+    def test_train_forward_draws_full_dropout_masks(
+        self, synth32, vocab32, tok_config, tiny_params
+    ):
+        """Every dropout site, the last layer's included, draws a [count, b, H]
+        mask, so the generator ends where full-length masks leave it."""
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)
+        rng = np.random.default_rng(21)
+        forward(tiny_params, batch, mode="train", rng=rng)
+        expected = np.random.default_rng(21)
+        cfg = tiny_params.config
+        lengths = [bucket_of(ex) for ex in batch]
+        for length in sorted(set(lengths)):
+            for _ in range(1 + 2 * cfg.num_layers):
+                expected.random((lengths.count(length), length, cfg.hidden_size))
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestBackward:
