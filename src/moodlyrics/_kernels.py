@@ -1,4 +1,4 @@
-"""Hot numeric kernels: masked softmax, GELU, layer norm, AdamW update.
+"""Hot numeric kernels: softmax (plain and masked), GELU, layer norm, AdamW.
 
 Each kernel is one numpy implementation; matrix multiplies stay in numpy
 (BLAS). GELU uses the tanh approximation, so values differ from the erf
@@ -30,17 +30,23 @@ def selected_backends() -> dict[str, str]:
     return dict.fromkeys(KERNEL_NAMES, MODE)
 
 
+def softmax_inplace(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a float array, in place; returns ``x``.
+    Unchecked: every row needs a finite maximum."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax of [B, heads, Lq, Lk] scores over unmasked keys.
 
     ``key_mask`` is [B, Lk]; masked key positions get probability exactly 0.
     Every mask row must have at least one nonzero entry.
     """
-    probs = np.where(key_mask[:, None, None, :] > 0, scores, scores.dtype.type(-np.inf))
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
+    keep = key_mask[:, None, None, :] > 0
+    return softmax_inplace(np.where(keep, scores, scores.dtype.type(-np.inf)))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

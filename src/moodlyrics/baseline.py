@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from ._atomic import read_input_text, write_atomic
 from .corpus import Corpus, MoodLabel, clean_text
 from .errors import BaselineError
-from .model import softmax
 
 NB_FORMAT = "moodlyrics-nb v1"
 
@@ -63,13 +63,13 @@ def nb_train(corpus: Corpus, alpha: float = 1.0) -> NaiveBayesModel:
     log_priors = np.log(
         np.array([class_docs[label] for label in MoodLabel]) / len(corpus)
     )
-    log_likelihood = np.log(
-        (counts + alpha) / (class_totals + alpha * len(vocabulary))
-    )
+    likelihood = (counts + alpha) / (class_totals + alpha * len(vocabulary))
+    if not likelihood.all():
+        raise BaselineError(f"smoothing alpha {alpha} gives a word likelihood of 0")
     return NaiveBayesModel(
         vocabulary=vocabulary,
         log_priors=log_priors,
-        log_likelihood=log_likelihood,
+        log_likelihood=np.log(likelihood),
         alpha=alpha,
     )
 
@@ -83,8 +83,8 @@ def nb_predict(model: NaiveBayesModel, text: str) -> tuple[MoodLabel, np.ndarray
         row = model.vocabulary.get(word)
         if row is not None:
             scores += model.log_likelihood[row]
-    posterior = softmax(scores)
-    return MoodLabel(int(np.argmax(scores))), posterior
+    label = MoodLabel(int(np.argmax(scores)))
+    return label, _kernels.softmax_inplace(scores)
 
 
 def save_nb(model: NaiveBayesModel, path: str | Path) -> Path:
@@ -120,10 +120,14 @@ def load_nb(path: str | Path) -> NaiveBayesModel:
             rows.append([float(v) for v in fields[2:]])
     except (IndexError, ValueError):
         raise BaselineError(f"malformed model file: {path}") from None
+    log_likelihood = np.array(rows).reshape(len(rows), len(MoodLabel))
+    # nb_predict's posterior softmax does not check its input
+    if not np.isfinite([alpha, *priors]).all() or not np.isfinite(log_likelihood).all():
+        raise BaselineError(f"malformed model file (non-finite value): {path}")
     return NaiveBayesModel(
         vocabulary=vocabulary,
         log_priors=priors,
-        log_likelihood=np.array(rows).reshape(len(rows), len(MoodLabel)),
+        log_likelihood=log_likelihood,
         alpha=alpha,
     )
 

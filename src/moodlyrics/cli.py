@@ -37,8 +37,9 @@ from .corpus import (
 )
 from .errors import MoodlyricsError
 from .model import (
+    CHECKPOINT_MAGIC,
     ModelConfig,
-    forward,
+    classify,
     init_model,
     load_checkpoint,
     predict,
@@ -316,11 +317,7 @@ def cmd_analyze(args) -> int:
 
 
 def _transformer_predictions(params, examples) -> list[MoodLabel]:
-    preds: list[MoodLabel] = []
-    for start in range(0, len(examples), EVAL_BATCH):
-        trace = forward(params, examples[start : start + EVAL_BATCH], mode="eval")
-        preds += [MoodLabel(int(i)) for i in trace.logits.argmax(axis=1)]
-    return preds
+    return [MoodLabel(int(i)) for i in classify(params, examples, EVAL_BATCH).argmax(axis=1)]
 
 
 def _metrics_dict(rep: evaluation.EvalReport) -> dict:
@@ -431,15 +428,15 @@ def cmd_train(args) -> int:
 def _sniff_checkpoint(path: str | Path) -> str:
     path = Path(path)
     data = read_input(path, "checkpoint", UsageError)
-    if data[:4] == b"MLCP":
+    if data.startswith(CHECKPOINT_MAGIC):
         return "bert"
-    if data.startswith(b"moodlyrics-nb"):
+    if data.startswith(baseline.NB_FORMAT.encode("utf-8")):
         return "nb"
     raise UsageError(f"unrecognized checkpoint format: {path}")
 
 
 def _load_transformer(args):
-    params, vocab_hash, tok_dict = load_checkpoint(args.checkpoint)
+    params, vocab_hash, tok_config = load_checkpoint(args.checkpoint)
     if not args.vocab:
         raise UsageError("transformer checkpoints need --vocab")
     vocab = Vocabulary.load(args.vocab)
@@ -447,13 +444,6 @@ def _load_transformer(args):
         raise UsageError(
             f"vocabulary hash mismatch: checkpoint expects {vocab_hash[:12]}..., "
             f"{args.vocab} has {vocab.sha256()[:12]}..."
-        )
-    if tok_dict is not None:
-        tok_config = TokenizerConfig(**tok_dict)
-    else:
-        tok_config = TokenizerConfig(
-            max_sequence_length=params.config.max_positions,
-            vocab_size=max(len(vocab), 8),
         )
     return params, vocab, tok_config
 

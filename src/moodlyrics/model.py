@@ -157,15 +157,11 @@ def init_model(config: ModelConfig, dtype=np.float32) -> Parameters:
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis; rejects non-finite input."""
-    v = np.asarray(v)
-    if v.dtype.kind != "f":
-        v = v.astype(np.float64)
+    """Stable float64 softmax over the last axis, as a copy; rejects non-finite input."""
+    v = np.array(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ModelError("non-finite input to softmax")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _kernels.softmax_inplace(v)
 
 
 def _stack_batch(
@@ -439,24 +435,34 @@ def _bucket_forward(
     return BucketTrace(index, ids, emb_drop, layers, h_cls), logits
 
 
-def cross_entropy(
+def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, class_weights=None
-) -> float:
-    """Mean negative log-softmax probability of the true class.
-
-    With ``class_weights`` (one positive weight per class) the mean is
-    weighted by each example's class weight; classes are unweighted by
-    default.
-    """
+) -> tuple[float, np.ndarray]:
+    """(loss, d_logits): the mean negative log-softmax probability of the
+    true class, from a float64 log-sum-exp that stays finite for any finite
+    logits, and its float64 gradient. With ``class_weights`` (one positive
+    weight per class) the mean is weighted by each example's class weight."""
     labels = np.asarray(labels, dtype=np.int64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted[np.arange(len(labels)), labels]
-    losses = log_z - picked
+    rows = np.arange(len(labels))
+    shifted = logits.astype(np.float64)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    losses = np.log(total[:, 0]) - shifted[rows, labels]
+    d_logits = exp / total
+    d_logits[rows, labels] -= 1
     if class_weights is None:
-        return float(np.mean(losses))
+        d_logits /= len(labels)
+        return float(np.mean(losses)), d_logits
     weights = np.asarray(class_weights, dtype=np.float64)[labels]
-    return float((losses * weights).sum() / weights.sum())
+    weights /= weights.sum()
+    d_logits *= weights[:, None]
+    return float(losses @ weights), d_logits
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, class_weights=None) -> float:
+    """The loss of ``softmax_cross_entropy``."""
+    return softmax_cross_entropy(logits, labels, class_weights)[0]
 
 
 def backward(
@@ -468,19 +474,10 @@ def backward(
     """Exact gradients of the (optionally class-weighted) mean
     cross-entropy loss for every parameter array, summed over the
     trace's buckets."""
-    batch_size = trace.logits.shape[0]
-    if batch_size != len(labels):
+    if trace.logits.shape[0] != len(labels):
         raise ModelError("trace and labels batch sizes differ")
 
-    labels = np.asarray(labels, dtype=np.int64)
-    d_logits = softmax(trace.logits.astype(np.float64))
-    d_logits[np.arange(batch_size), labels] -= 1
-    if class_weights is None:
-        d_logits /= batch_size
-    else:
-        weights = np.asarray(class_weights, dtype=np.float64)[labels]
-        d_logits *= (weights / weights.sum())[:, None]
-    d_logits = d_logits.astype(params.dtype)
+    d_logits = softmax_cross_entropy(trace.logits, labels, class_weights)[1].astype(params.dtype)
 
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     for bucket in trace.buckets:
@@ -505,13 +502,21 @@ def _bucket_backward(
     np.add.at(grads["tok_emb"], bucket.ids.reshape(-1), dx0)
 
 
+def classify(params: Parameters, examples: list[EncodedExample], batch_size: int) -> np.ndarray:
+    """Eval-mode logits [N, classes] of ``examples``, ``batch_size`` at a time."""
+    logits = np.empty((len(examples), params.config.num_classes), dtype=params.dtype)
+    for start in range(0, len(examples), batch_size):
+        chunk = examples[start : start + batch_size]
+        logits[start : start + len(chunk)] = forward(params, chunk, mode="eval").logits
+    return logits
+
+
 def predict(
     params: Parameters, example: EncodedExample
 ) -> tuple[MoodLabel, np.ndarray]:
     """Most probable mood and the full probability vector. Ties break
     toward the lowest class index."""
-    trace = forward(params, [example], mode="eval")
-    probs = softmax(trace.logits.astype(np.float64))[0]
+    probs = softmax(forward(params, [example], mode="eval").logits)[0]
     return MoodLabel(int(np.argmax(probs))), probs
 
 
@@ -519,7 +524,7 @@ def save_checkpoint(
     path: str | Path,
     params: Parameters,
     vocab_sha256: str,
-    tokenizer_config=None,
+    tokenizer_config: TokenizerConfig,
 ) -> Path:
     """Write a versioned checkpoint atomically; arrays stored as
     little-endian float32.
@@ -532,7 +537,7 @@ def save_checkpoint(
         "version": CHECKPOINT_VERSION,
         "model": asdict(params.config),
         "vocab_sha256": vocab_sha256,
-        "tokenizer": None if tokenizer_config is None else asdict(tokenizer_config),
+        "tokenizer": asdict(tokenizer_config),
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in params.items()
         ],
@@ -558,11 +563,11 @@ def _config_from_json(cls, values):
     return cls(**values)
 
 
-def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
+def load_checkpoint(path: str | Path) -> tuple[Parameters, str, TokenizerConfig]:
     """Read a checkpoint, validating magic, version, and array shapes
     against the stored config.
 
-    Returns (parameters, vocab hash, tokenizer settings dict or None).
+    Returns (parameters, vocab hash, tokenizer settings).
     """
     path = Path(path)
     data = read_input(path, "checkpoint", ModelError)
@@ -580,12 +585,11 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, dict | None]:
         vocab_hash = header["vocab_sha256"]
         if not isinstance(vocab_hash, str):
             raise TypeError(f"vocab_sha256 must be a string, got {vocab_hash!r}")
-        tokenizer = header.get("tokenizer")
-        if tokenizer is not None:
-            length = _config_from_json(TokenizerConfig, tokenizer).max_sequence_length
-            if length > config.max_positions:
-                raise ValueError(f"tokenizer length {length} exceeds max_positions")
-    except (ValueError, TypeError, KeyError) as exc:
+        tokenizer = _config_from_json(TokenizerConfig, header["tokenizer"])
+        if (length := tokenizer.max_sequence_length) > config.max_positions:
+            raise ValueError(f"tokenizer length {length} exceeds max_positions")
+    # a deeply nested header makes json raise RecursionError
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
     expected = param_shapes(config)
     if listed != expected:

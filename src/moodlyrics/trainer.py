@@ -23,6 +23,7 @@ from .errors import TrainerError
 from .model import (
     Parameters,
     backward,
+    classify,
     cross_entropy,
     forward,
     save_checkpoint,
@@ -174,15 +175,9 @@ def evaluate(
     if not examples:
         raise TrainerError("cannot evaluate an empty split")
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    loss_sum = 0.0
-    correct = 0
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        chunk_labels = labels[start : start + len(chunk)]
-        trace = forward(params, chunk, mode="eval")
-        loss_sum += cross_entropy(trace.logits, chunk_labels) * len(chunk)
-        correct += int((trace.logits.argmax(axis=1) == chunk_labels).sum())
-    return loss_sum / len(examples), correct / len(examples)
+    logits = classify(params, examples, batch_size)
+    correct = int((logits.argmax(axis=1) == labels).sum())
+    return cross_entropy(logits, labels), correct / len(examples)
 
 
 def train(

@@ -43,7 +43,7 @@ ARTIFACTS = ["checkpoint", "nb", "manifest", "vocab", "history", "corpus", "repo
 
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_failed_write_keeps_previous_file(
-    tmp_path, monkeypatch, synth32, vocab32, tiny_params, artifact
+    tmp_path, monkeypatch, synth32, vocab32, tok_config, tiny_params, artifact
 ):
     params = init_model(tiny_params.config, dtype=np.float32)
     manifest = RunManifest(command="train", argv=[], seed=1, derived_seeds={},
@@ -52,7 +52,7 @@ def test_failed_write_keeps_previous_file(
     moods = list(MoodLabel)
     matrix = confusion(moods + moods[:2], moods + moods[1:3])
     save = {
-        "checkpoint": lambda: save_checkpoint(tmp_path / "m.ckpt", params, "h"),
+        "checkpoint": lambda: save_checkpoint(tmp_path / "m.ckpt", params, "h", tok_config),
         "nb": lambda: save_nb(nb_train(synth32), tmp_path / "model.nb"),
         "manifest": lambda: manifest.save(tmp_path, time.perf_counter()),
         "vocab": lambda: vocab32.save(tmp_path / "vocab.txt"),

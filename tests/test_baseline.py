@@ -1,9 +1,14 @@
 import math
 import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moodlyrics
 from moodlyrics.baseline import (
     load_nb,
     nb_predict,
@@ -61,6 +66,14 @@ class TestNbTrain:
         corpus = synthesize_corpus(seed=3, per_class=2)
         with pytest.raises(BaselineError):
             nb_train(corpus, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e308])
+    def test_alpha_that_zeroes_a_likelihood_is_error(self, alpha):
+        corpus = synthesize_corpus(seed=3, per_class=2)
+        # the error alone: no numpy divide-by-zero warning ahead of it
+        with warnings.catch_warnings(), pytest.raises(BaselineError, match="likelihood of 0"):
+            warnings.simplefilter("error")
+            nb_train(corpus, alpha=alpha)
 
     def test_missing_class_is_error(self):
         corpus = corpus_from([("x", MoodLabel.HAPPY), ("y", MoodLabel.SAD)])
@@ -165,3 +178,12 @@ class TestSerialization:
         with pytest.raises(BaselineError):
             load_nb(path)
 
+
+def test_importing_baseline_leaves_the_transformer_unloaded():
+    code = "import sys, moodlyrics.baseline; print('moodlyrics.model' in sys.modules)"
+    src = str(Path(moodlyrics.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    ).stdout
+    assert out == "False\n"

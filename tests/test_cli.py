@@ -347,10 +347,15 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
 
 def with_header(checkpoint: bytes, edit) -> bytes:
     """``checkpoint`` with ``edit`` applied to its JSON header dict."""
-    version, header_len = struct.unpack("<II", checkpoint[4:12])
+    header_len = struct.unpack("<II", checkpoint[4:12])[1]
     header = json.loads(checkpoint[12 : 12 + header_len])
     edit(header)
-    blob = json.dumps(header).encode("utf-8")
+    return with_header_bytes(checkpoint, json.dumps(header).encode("utf-8"))
+
+
+def with_header_bytes(checkpoint: bytes, blob: bytes) -> bytes:
+    """``checkpoint`` with its header replaced by the bytes ``blob``."""
+    version, header_len = struct.unpack("<II", checkpoint[4:12])
     return (checkpoint[:4] + struct.pack("<II", version, len(blob)) + blob
             + checkpoint[12 + header_len :])
 
@@ -369,19 +374,36 @@ def _short_priors(nb_text: str) -> str:
     return "\n".join(lines)
 
 
+def _nb_field(nb_text: str, line: int, index: int, value: str) -> str:
+    """``nb_text`` with tab-separated field ``index`` of ``line`` set to ``value``."""
+    lines = nb_text.split("\n")
+    fields = lines[line].split("\t")
+    fields[index] = value
+    lines[line] = "\t".join(fields)
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize(
     "which",
     ["tokenizer-unknown-key", "tokenizer-length-not-int", "tokenizer-not-a-mapping",
      "model-hidden-float", "model-heads-bool", "tokenizer-length-float",
      "tokenizer-length-inf", "tokenizer-length-past-model", "vocab-hash-not-a-string",
-     "nb-priors-short"],
+     "tokenizer-null", "header-deeply-nested", "nb-priors-short", "nb-alpha-nan",
+     "nb-prior-nan", "nb-likelihood-inf"],
 )
 def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     checkpoint = (trained / "checkpoint.ckpt").read_bytes()
     bad = tmp_path / "bad.model"
-    if which == "nb-priors-short":
-        bad.write_text(_short_priors(nb_model.read_text(encoding="utf-8")),
-                       encoding="utf-8")
+    if which.startswith("nb-"):
+        nb_text = nb_model.read_text(encoding="utf-8")
+        bad.write_text({
+            "nb-priors-short": _short_priors,
+            "nb-alpha-nan": lambda text: _nb_field(text, 1, 1, "nan"),
+            "nb-prior-nan": lambda text: _nb_field(text, 3, 1, "nan"),
+            "nb-likelihood-inf": lambda text: _nb_field(text, 4, 2, "inf"),
+        }[which](nb_text), encoding="utf-8")
+    elif which == "header-deeply-nested":
+        bad.write_bytes(with_header_bytes(checkpoint, b"[" * 100_000))
     else:
         edit = {
             "tokenizer-unknown-key": lambda h: h["tokenizer"].update(lowercsae=True),
@@ -400,6 +422,7 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
             "tokenizer-length-past-model":
                 lambda h: h["tokenizer"].update(max_sequence_length=10**400),
             "vocab-hash-not-a-string": lambda h: h.update(vocab_sha256=5),
+            "tokenizer-null": lambda h: h.update(tokenizer=None),
         }[which]
         bad.write_bytes(with_header(checkpoint, edit))
     code = run(["predict", "--checkpoint", bad, "--vocab", trained / "vocab.txt",

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlyrics import _kernels
 from moodlyrics.corpus import MoodLabel
@@ -17,6 +19,7 @@ from moodlyrics.model import (
     predict,
     save_checkpoint,
     softmax,
+    softmax_cross_entropy,
 )
 from moodlyrics.tokenizer import TokenizerConfig, encode
 
@@ -240,6 +243,38 @@ class TestCrossEntropy:
         light = cross_entropy(logits, labels, class_weights=(1.0, 1.0, 1.0, 0.1))
         heavy = cross_entropy(logits, labels, class_weights=(1.0, 1.0, 1.0, 10.0))
         assert heavy > light  # class 3 is the badly predicted one
+
+    def test_far_logits_stay_finite(self):
+        # -log(softmax) would take log(exp(-1000)) = log(0) = -inf here
+        loss, d_logits = softmax_cross_entropy(
+            np.array([[0.0, -1000.0, -1000.0, -1000.0]]), np.array([1])
+        )
+        assert loss == 1000.0
+        assert np.isfinite(d_logits).all()
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 6),
+        class_weights=st.none() | st.tuples(*[st.floats(0.1, 10.0)] * 4),
+    )
+    def test_gradient_matches_central_differences(self, data, rows, class_weights):
+        logits = np.array(
+            data.draw(st.lists(st.floats(-30.0, 30.0), min_size=4 * rows, max_size=4 * rows))
+        ).reshape(rows, 4)
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows)))
+        _, d_logits = softmax_cross_entropy(logits, labels, class_weights)
+        eps = 1e-6
+        numeric = np.empty_like(logits)
+        for index in np.ndindex(logits.shape):
+            up, down = logits.copy(), logits.copy()
+            up[index] += eps
+            down[index] -= eps
+            numeric[index] = (
+                softmax_cross_entropy(up, labels, class_weights)[0]
+                - softmax_cross_entropy(down, labels, class_weights)[0]
+            ) / (2 * eps)
+        np.testing.assert_allclose(d_logits, numeric, rtol=0, atol=1e-6)
 
 
 class TestForward:
@@ -494,7 +529,7 @@ class TestCheckpoint:
                                TokenizerConfig(max_sequence_length=32, vocab_size=500))
         loaded, vocab_hash, tok = load_checkpoint(path)
         assert vocab_hash == "abc123"
-        assert tok["max_sequence_length"] == 32
+        assert tok.max_sequence_length == 32
         assert loaded.config == params32.config
         for name in params32.arrays:
             assert np.array_equal(loaded[name], params32[name])
@@ -518,9 +553,9 @@ class TestCheckpoint:
         with pytest.raises(ModelError):
             load_checkpoint(path)
 
-    def test_rejects_truncation(self, tiny_params, tmp_path):
+    def test_rejects_truncation(self, tiny_params, tok_config, tmp_path):
         params32 = init_model(tiny_params.config, dtype=np.float32)
-        path = save_checkpoint(tmp_path / "m.ckpt", params32, "h")
+        path = save_checkpoint(tmp_path / "m.ckpt", params32, "h", tok_config)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ModelError, match="truncated"):
