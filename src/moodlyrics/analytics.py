@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._atomic import write_atomic, write_csv
-from .corpus import Corpus, SongRecord, clean_text
+from .corpus import Corpus, SongRecord
 from .errors import AnalyticsError
 from .tokenizer import word_tokenize
 
@@ -52,7 +52,7 @@ def lexical_stats(
 ) -> LexicalStats:
     """Token count, distinct count, type-token ratio, and content-word
     fraction for one song. Errors on lyrics that clean to nothing."""
-    tokens = word_tokenize(clean_text(record.lyrics))
+    tokens = word_tokenize(record.cleaned)
     if not tokens:
         raise AnalyticsError(f"no tokens after cleaning: {record.title!r}")
     unique = len(set(tokens))

@@ -21,8 +21,8 @@ from .errors import BaselineError
 NB_FORMAT = "moodlyrics-nb v1"
 
 
-def _words(text: str) -> list[str]:
-    return clean_text(text).lower().split()
+def _words(cleaned: str) -> list[str]:
+    return cleaned.lower().split()
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def nb_train(corpus: Corpus, alpha: float = 1.0) -> NaiveBayesModel:
     class_totals = np.zeros(len(MoodLabel))
     for rec in corpus:
         class_docs[rec.mood] += 1
-        for word in _words(rec.lyrics):
+        for word in _words(rec.cleaned):
             row = word_counts.get(word)
             if row is None:
                 row = word_counts[word] = np.zeros(len(MoodLabel))
@@ -74,12 +74,18 @@ def nb_train(corpus: Corpus, alpha: float = 1.0) -> NaiveBayesModel:
     )
 
 
-def nb_predict(model: NaiveBayesModel, text: str) -> tuple[MoodLabel, np.ndarray]:
+def nb_predict(
+    model: NaiveBayesModel, text: str, *, cleaned: str | None = None
+) -> tuple[MoodLabel, np.ndarray]:
     """Argmax of log prior + summed token log-likelihoods; posterior is the
     softmax of the class log-scores. Unseen words are skipped; ties break
-    toward the lowest class index."""
+    toward the lowest class index. ``cleaned``, when given, is
+    ``clean_text(text)`` already computed, and ``text`` is not cleaned
+    again."""
+    if cleaned is None:
+        cleaned = clean_text(text)
     scores = model.log_priors.copy()
-    for word in _words(text):
+    for word in _words(cleaned):
         row = model.vocabulary.get(word)
         if row is not None:
             scores += model.log_likelihood[row]

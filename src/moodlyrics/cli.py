@@ -272,7 +272,7 @@ def cmd_analyze(args) -> int:
     corpus, _ = load_corpus(args.input)
     outputs: list[str] = []
 
-    tokens = [tok for rec in corpus for tok in word_tokenize(clean_text(rec.lyrics))]
+    tokens = [tok for rec in corpus for tok in word_tokenize(rec.cleaned)]
     table = freq_dist(tokens)
     ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     freq_path = write_csv(out_dir / "freq.csv", [["token", "count"], *ranked])
@@ -355,7 +355,8 @@ def cmd_train(args) -> int:
         nb_model = baseline.nb_train(train_split, alpha=alpha)
         model_path = baseline.save_nb(nb_model, out_dir / "model.nb")
         outputs.append(str(model_path))
-        preds = [baseline.nb_predict(nb_model, rec.lyrics)[0] for rec in test_split]
+        preds = [baseline.nb_predict(nb_model, rec.lyrics, cleaned=rec.cleaned)[0]
+                 for rec in test_split]
         golds = [rec.mood for rec in test_split]
         rep = evaluation.report(evaluation.confusion(preds, golds))
         metrics["test"] = _metrics_dict(rep)
@@ -466,7 +467,8 @@ def cmd_eval(args) -> int:
         preds = _transformer_predictions(params, examples)
     else:
         nb_model = baseline.load_nb(args.checkpoint)
-        preds = [baseline.nb_predict(nb_model, rec.lyrics)[0] for rec in chosen]
+        preds = [baseline.nb_predict(nb_model, rec.lyrics, cleaned=rec.cleaned)[0]
+                 for rec in chosen]
     golds = [rec.mood for rec in chosen]
 
     matrix = evaluation.confusion(preds, golds)
@@ -500,7 +502,8 @@ def cmd_predict(args) -> int:
         lyrics = args.lyrics
     else:
         lyrics = read_input_text(args.file, "lyrics file", UsageError)
-    if not clean_text(lyrics):
+    cleaned = clean_text(lyrics)
+    if not cleaned:
         print(
             "warning: lyrics are empty after cleaning; prediction uses no content",
             file=sys.stderr,
@@ -508,11 +511,11 @@ def cmd_predict(args) -> int:
     kind = _sniff_checkpoint(args.checkpoint)
     if kind == "bert":
         params, vocab, tok_config = _load_transformer(args)
-        example = encode(lyrics, vocab, tok_config)
+        example = encode(lyrics, vocab, tok_config, cleaned=cleaned)
         label, probs = predict(params, example)
     else:
         nb_model = baseline.load_nb(args.checkpoint)
-        label, probs = baseline.nb_predict(nb_model, lyrics)
+        label, probs = baseline.nb_predict(nb_model, lyrics, cleaned=cleaned)
     print(f"mood={label.name.lower()} p=" + ",".join(f"{p:.6f}" for p in probs))
     return 0
 

@@ -6,6 +6,13 @@ The on-disk format is UTF-8 CSV with the exact header
 commas and newlines. Mood labels are matched case-insensitively. Rows whose
 lyrics are empty after cleaning or whose mood does not parse are dropped and
 counted in a :class:`DropReport`.
+
+Each :class:`SongRecord` cleans its lyrics once: ``record.cleaned`` is
+``clean_text(record.lyrics)``, computed on first use and kept on the record.
+It is not a dataclass field, so it takes no part in equality or hashing.
+``load_corpus`` fills it while testing for empty lyrics, and every stage that
+works on a record's words (Naive Bayes, WordPiece training and encoding, the
+lexical statistics) reads it instead of cleaning the lyrics again.
 """
 
 from __future__ import annotations
@@ -56,6 +63,11 @@ class SongRecord:
     lyrics: str
     mood: MoodLabel
 
+    @functools.cached_property
+    def cleaned(self) -> str:
+        """``clean_text(self.lyrics)``, computed once per record."""
+        return clean_text(self.lyrics)
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -103,18 +115,25 @@ class MoodDistribution:
     fractions: dict[MoodLabel, float]
 
 
-@functools.lru_cache(maxsize=None)
-def _is_punct(ch: str) -> bool:
-    # Unicode category P* covers ASCII punctuation and the Bengali danda
-    # characters U+0964 and U+0965.
-    return unicodedata.category(ch).startswith("P")
+class _PunctToSpace(dict):
+    """``str.translate`` table mapping each punctuation code point to a
+    space and every other one to itself, filled one code point at a time."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        # Unicode category P* covers ASCII punctuation and the Bengali danda
+        # characters U+0964 and U+0965.
+        mapped = self[code] = " " if unicodedata.category(ch).startswith("P") else ch
+        return mapped
+
+
+_PUNCT_TO_SPACE = _PunctToSpace()
 
 
 def clean_text(raw: str) -> str:
     """Normalize text: NFC composition, punctuation to spaces, whitespace
     runs collapsed, ends stripped. Idempotent; may return an empty string."""
-    text = unicodedata.normalize("NFC", raw)
-    text = "".join(" " if _is_punct(ch) else ch for ch in text)
+    text = unicodedata.normalize("NFC", raw).translate(_PUNCT_TO_SPACE)
     return " ".join(text.split())
 
 
@@ -160,10 +179,11 @@ def load_corpus(path: str | Path) -> tuple[Corpus, DropReport]:
         except CorpusError:
             report.bad_mood += 1
             continue
-        if not clean_text(lyrics):
+        record = SongRecord(title, category, lyrics, mood)
+        if not record.cleaned:
             report.empty_lyrics += 1
             continue
-        records.append(SongRecord(title, category, lyrics, mood))
+        records.append(record)
     if not records:
         raise CorpusError(f"zero surviving rows in {path}")
     return Corpus(tuple(records), str(path)), report

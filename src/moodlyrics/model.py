@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels
 from ._atomic import read_input, write_atomic
 from .corpus import MoodLabel
-from .errors import ModelError
+from .errors import ModelError, TokenizerError
 from .tokenizer import EncodedExample, TokenizerConfig
 
 LN_EPS = 1e-5
@@ -588,8 +588,10 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, TokenizerConfig]
         tokenizer = _config_from_json(TokenizerConfig, header["tokenizer"])
         if (length := tokenizer.max_sequence_length) > config.max_positions:
             raise ValueError(f"tokenizer length {length} exceeds max_positions")
-    # a deeply nested header makes json raise RecursionError
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+    # a deeply nested header makes json raise RecursionError; the config
+    # classes raise their own errors on out-of-range values
+    except (ValueError, TypeError, KeyError, RecursionError,
+            ModelError, TokenizerError) as exc:
         raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
     expected = param_shapes(config)
     if listed != expected:

@@ -9,7 +9,9 @@ only the words that hold the merged pair; the merge chosen each round (the
 most frequent pair, ties to the smallest, none below a count of 2) is the
 one a full recount would choose. Segmentation at encode time is greedy
 longest-prefix matching, so any word whose characters were all seen in
-training segments without UNK.
+training segments without UNK. No piece longer than the vocabulary's
+longest token is tried: the bounded form of MaxMatch (Fast WordPiece, Song
+et al. 2021, arXiv:2012.15524, goes further with a trie).
 
 Vocabulary file format: UTF-8 text, one token per line, line number = id;
 the first four lines are exactly ``[PAD] [UNK] [CLS] [SEP]``.
@@ -66,6 +68,8 @@ class Vocabulary:
             raise TokenizerError("vocabulary contains duplicate tokens")
         self.tokens = tuple(tokens)
         self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
+        # no piece tried at segmentation can match beyond this many characters
+        self.longest = max(map(len, self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -104,12 +108,16 @@ def word_tokenize(text: str) -> list[str]:
 
 
 def normalize_words(text: str, config: TokenizerConfig) -> list[str]:
-    """Clean raw text and split to words, lowercasing if configured.
+    """Clean raw text and split to words, lowercasing if configured."""
+    return _cleaned_words(clean_text(text), config)
+
+
+def _cleaned_words(cleaned: str, config: TokenizerConfig) -> list[str]:
+    """Split already cleaned text to words, lowercasing if configured.
 
     Lowercasing only affects cased scripts (Latin here); Bengali has no
     case so it passes through unchanged.
     """
-    cleaned = clean_text(text)
     if config.lowercase:
         cleaned = cleaned.lower()
     return word_tokenize(cleaned)
@@ -172,7 +180,7 @@ def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
         raise TokenizerError("cannot train a vocabulary on an empty corpus")
     word_freq: Counter[str] = Counter()
     for rec in corpus:
-        word_freq.update(normalize_words(rec.lyrics, config))
+        word_freq.update(_cleaned_words(rec.cleaned, config))
     if not word_freq:
         raise TokenizerError("corpus has no words after cleaning")
 
@@ -233,13 +241,14 @@ def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
 
 def wordpiece_segment(word: str, vocab: Vocabulary) -> list[str]:
     """Greedy longest-prefix segmentation; a word with any unmatchable
-    position maps to ``[UNK]`` as a whole."""
-    if not word or any(ch.isspace() for ch in word):
+    position maps to ``[UNK]`` as a whole. Pieces are tried longest first,
+    none longer than the vocabulary's longest token."""
+    if word.split() != [word]:
         raise TokenizerError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
     pieces = []
     start = 0
     while start < len(word):
-        end = len(word)
+        end = min(len(word), start + vocab.longest)
         match = None
         while start < end:
             piece = word[start:end]
@@ -263,6 +272,7 @@ def encode(
     label: MoodLabel | None = None,
     *,
     segments: dict[str, list[str]] | None = None,
+    cleaned: str | None = None,
 ) -> EncodedExample:
     """Encode raw text to a fixed-length id sequence.
 
@@ -271,12 +281,16 @@ def encode(
     [CLS]/[SEP], pad with [PAD]. The mask marks non-pad positions.
 
     ``segments`` memoises word -> pieces; calls that share one dict (and
-    one vocabulary) segment each distinct word once.
+    one vocabulary) segment each distinct word once. ``cleaned``, when
+    given, is ``clean_text(text)`` already computed (a record's
+    ``cleaned``), and ``text`` is not cleaned again.
     """
     if segments is None:
         segments = {}
+    if cleaned is None:
+        cleaned = clean_text(text)
     pieces = []
-    for w in normalize_words(text, config):
+    for w in _cleaned_words(cleaned, config):
         word_pieces = segments.get(w)
         if word_pieces is None:
             word_pieces = segments[w] = wordpiece_segment(w, vocab)
@@ -295,10 +309,12 @@ def encode(
 def encode_corpus(
     corpus: Corpus, vocab: Vocabulary, config: TokenizerConfig
 ) -> list[EncodedExample]:
-    """Encode every record's lyrics, carrying the mood label along. The
-    records share one segmentation memo, which lives only for this call."""
+    """Encode every record's cleaned lyrics, carrying the mood label along.
+    The records share one segmentation memo, which lives only for this
+    call."""
     segments: dict[str, list[str]] = {}
     return [
-        encode(rec.lyrics, vocab, config, label=rec.mood, segments=segments)
+        encode(rec.lyrics, vocab, config, label=rec.mood, segments=segments,
+               cleaned=rec.cleaned)
         for rec in corpus
     ]

@@ -1,21 +1,32 @@
 """Independent reference computations used to check the library code.
 
-These deliberately avoid the library's own code paths: the Naive Bayes
+These deliberately avoid the library's own code paths: the cleaning
+oracle tests every character's Unicode category in turn, the Naive Bayes
 oracle multiplies plain probabilities (no logs), the WordPiece oracle
-recounts every pair on every merge, the encoder oracle runs one example at
+recounts every pair on every merge, the segmentation oracle tries every end
+position from the end of the word, the encoder oracle runs one example at
 full length with every query row in every layer, and the CSV builder
 writes files by hand.
 """
 
+import unicodedata
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from moodlyrics.corpus import MoodLabel, clean_text
+from moodlyrics.corpus import MoodLabel
 from moodlyrics.errors import TokenizerError
 
 N_CLASSES = len(MoodLabel)
+
+
+def clean_text_by_category(raw: str) -> str:
+    """NFC composition, each character of Unicode category P* replaced by a
+    space, whitespace runs collapsed, ends stripped."""
+    text = unicodedata.normalize("NFC", raw)
+    text = "".join(" " if unicodedata.category(ch).startswith("P") else ch for ch in text)
+    return " ".join(text.split())
 
 
 def nb_brute_force_posterior(
@@ -46,7 +57,7 @@ def nb_brute_force_posterior(
 
 
 def tokenize_like_baseline(text: str) -> list[str]:
-    return clean_text(text).lower().split()
+    return clean_text_by_category(text).lower().split()
 
 
 def write_counts_csv(path: Path, counts: dict[str, int]) -> Path:
@@ -72,7 +83,7 @@ def wordpiece_full_recount(corpus, config) -> tuple[str, ...]:
         raise TokenizerError("cannot train a vocabulary on an empty corpus")
     word_freq: Counter = Counter()
     for rec in corpus:
-        text = clean_text(rec.lyrics)
+        text = clean_text_by_category(rec.lyrics)
         word_freq.update((text.lower() if config.lowercase else text).split())
     if not word_freq:
         raise TokenizerError("corpus has no words after cleaning")
@@ -115,6 +126,32 @@ def wordpiece_full_recount(corpus, config) -> tuple[str, ...]:
             tokens.append(merged)
             seen.add(merged)
     return tuple(tokens)
+
+
+def wordpiece_segment_uncapped(word: str, vocab) -> list[str]:
+    """Greedy longest-prefix segmentation that tries every end position
+    from the end of the word; raises the same :class:`TokenizerError` as
+    ``wordpiece_segment``."""
+    if not word or any(ch.isspace() for ch in word):
+        raise TokenizerError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
+    pieces = []
+    start = 0
+    while start < len(word):
+        end = len(word)
+        match = None
+        while start < end:
+            piece = word[start:end]
+            if start > 0:
+                piece = "##" + piece
+            if piece in vocab:
+                match = piece
+                break
+            end -= 1
+        if match is None:
+            return ["[UNK]"]
+        pieces.append(match)
+        start = end
+    return pieces
 
 
 def full_encoder_logits(params, example) -> np.ndarray:

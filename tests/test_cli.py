@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodlyrics.cli import main
-from moodlyrics.corpus import load_corpus, save_corpus, synthesize_corpus
+from moodlyrics.corpus import clean_text, load_corpus, save_corpus, synthesize_corpus
 
 BERT_FLAGS = [
     "--set", "epochs=3", "--set", "num_layers=1", "--set", "hidden_size=16",
@@ -389,7 +390,7 @@ def _nb_field(nb_text: str, line: int, index: int, value: str) -> str:
      "model-hidden-float", "model-heads-bool", "tokenizer-length-float",
      "tokenizer-length-inf", "tokenizer-length-past-model", "vocab-hash-not-a-string",
      "tokenizer-null", "header-deeply-nested", "nb-priors-short", "nb-alpha-nan",
-     "nb-prior-nan", "nb-likelihood-inf"],
+     "nb-prior-nan", "nb-likelihood-inf", "model-heads-indivisible", "tokenizer-vocab-zero"],
 )
 def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     checkpoint = (trained / "checkpoint.ckpt").read_bytes()
@@ -423,6 +424,10 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
                 lambda h: h["tokenizer"].update(max_sequence_length=10**400),
             "vocab-hash-not-a-string": lambda h: h.update(vocab_sha256=5),
             "tokenizer-null": lambda h: h.update(tokenizer=None),
+            # out of range: the config classes' own checks reject these
+            "model-heads-indivisible":
+                lambda h: h["model"].update(hidden_size=64, num_heads=3),
+            "tokenizer-vocab-zero": lambda h: h["tokenizer"].update(vocab_size=0),
         }[which]
         bad.write_bytes(with_header(checkpoint, edit))
     code = run(["predict", "--checkpoint", bad, "--vocab", trained / "vocab.txt",
@@ -430,6 +435,26 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     err = capsys.readouterr().err
     assert_one_error_line(code, err)
     assert str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["train", "--model", "nb"], ["train", "--model", "bert", *BERT_FLAGS]],
+    ids=["analyze", "train-nb", "train-bert"],
+)
+def test_each_song_is_cleaned_once(corpus_csv, tmp_path, monkeypatch, command):
+    songs = len(load_corpus(corpus_csv)[0])
+    cleaned = []
+
+    def counting_clean_text(raw):
+        cleaned.append(raw)
+        return clean_text(raw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("moodlyrics") and hasattr(module, "clean_text"):
+            monkeypatch.setattr(module, "clean_text", counting_clean_text)
+    assert run([*command, "--input", corpus_csv, "--out", tmp_path / "out"]) == 0
+    assert len(cleaned) == songs
 
 
 class TestEnvironment:

@@ -1,7 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import moodlyrics
 from moodlyrics.corpus import (
     Corpus,
     MoodLabel,
@@ -15,7 +20,7 @@ from moodlyrics.corpus import (
 )
 from moodlyrics.errors import CorpusError
 
-from oracles import write_counts_csv
+from oracles import clean_text_by_category, write_counts_csv
 
 
 def make_corpus(moods, lyrics="la la la"):
@@ -59,6 +64,90 @@ class TestCleanText:
             raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
             once = clean_text(raw)
             assert clean_text(once) == once
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        raw=st.text(
+            alphabet=st.one_of(
+                st.sampled_from("abcXYZé ,.!?'\"-()[]#\n\t"),
+                st.characters(min_codepoint=0x0980, max_codepoint=0x09FF),  # Bengali
+                st.characters(min_codepoint=0x0300, max_codepoint=0x036F),  # combining
+                # danda, double danda, ZWNJ, ZWJ, NBSP, Ogham space mark,
+                # line separator, ideographic space
+                st.sampled_from("\u0964\u0965\u200c\u200d\u00a0\u1680\u2028\u3000"),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_per_character_oracle_and_is_idempotent(self, raw):
+        once = clean_text(raw)
+        assert once == clean_text_by_category(raw)
+        assert clean_text(once) == once
+
+
+class TestCleanedRecord:
+    def test_cleaned_is_the_cleaned_lyrics(self):
+        rec = SongRecord("t", "c", "এক।  দুই॥ তিন", MoodLabel.SAD)
+        assert rec.cleaned == clean_text(rec.lyrics) == "এক দুই তিন"
+
+    def test_cached_cleaned_leaves_equality_and_hash_alone(self):
+        cached = SongRecord("t", "c", "এক। দুই", MoodLabel.SAD)
+        assert cached.cleaned == "এক দুই"
+        fresh = SongRecord("t", "c", "এক। দুই", MoodLabel.SAD)
+        assert "cleaned" in vars(cached) and "cleaned" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+
+    def test_load_keeps_the_cleaned_text(self, tmp_path):
+        generated = synthesize_corpus(seed=3, per_class=2)
+        loaded, _ = load_corpus(save_corpus(generated, tmp_path / "c.csv"))
+        assert all("cleaned" in vars(rec) for rec in loaded)
+        assert loaded.records == generated.records
+
+
+def _recleaned_lyrics(tree: ast.AST):
+    """Line numbers of calls that clean a ``.lyrics`` attribute again:
+    ``clean_text`` on it, or ``encode``/``nb_predict`` on it without the
+    record's ``cleaned`` text."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        args = node.args + [kw.value for kw in node.keywords]
+        if not any(isinstance(arg, ast.Attribute) and arg.attr == "lyrics" for arg in args):
+            continue
+        if name == "clean_text" or (
+            name in ("encode", "nb_predict")
+            and not any(kw.arg == "cleaned" for kw in node.keywords)
+        ):
+            yield node.lineno
+
+
+def test_no_module_cleans_record_lyrics_again():
+    package = Path(moodlyrics.__file__).parent
+    offenders = [
+        f"{source.name}:{line}"
+        for source in sorted(package.glob("*.py"))
+        if source.name != "corpus.py"
+        for line in _recleaned_lyrics(ast.parse(source.read_text(encoding="utf-8")))
+    ]
+    assert offenders == [], "read the record's cleaned text instead"
+
+
+@pytest.mark.parametrize(
+    "code, hits",
+    [
+        ("clean_text(rec.lyrics)", 1),
+        ("corpus.clean_text(raw=song.lyrics)", 1),
+        ("encode(rec.lyrics, vocab, config)", 1),
+        ("baseline.nb_predict(model, rec.lyrics)", 1),
+        ("encode(rec.lyrics, v, c, cleaned=rec.cleaned); clean_text(lyrics)", 0),
+        ("nb_predict(m, rec.lyrics, cleaned=rec.cleaned); SongRecord(t, c, rec.lyrics, m)", 0),
+    ],
+)
+def test_reclean_guard_finds_calls(code, hits):
+    assert len(list(_recleaned_lyrics(ast.parse(code)))) == hits
 
 
 class TestLoadCorpus:

@@ -25,7 +25,7 @@ from moodlyrics.tokenizer import (
     wordpiece_segment,
 )
 
-from oracles import wordpiece_full_recount
+from oracles import wordpiece_full_recount, wordpiece_segment_uncapped
 
 
 def corpus_of(*texts):
@@ -216,6 +216,20 @@ class TestSegment:
             wordpiece_segment("", small_vocab("a"))
         with pytest.raises(TokenizerError):
             wordpiece_segment("a b", small_vocab("a"))
+
+    def test_longest_is_the_longest_token(self):
+        assert small_vocab("a", "##bcdefg").longest == len("##bcdefg")
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        pieces=st.lists(st.text(alphabet="ab#", min_size=1, max_size=7), max_size=12),
+        word=st.text(alphabet="ab# ", max_size=12),
+    )
+    def test_capped_equals_uncapped_oracle(self, pieces, word):
+        vocab = Vocabulary(SPECIAL_TOKENS + tuple(dict.fromkeys(pieces)))
+        assert tokens_or_error(lambda: wordpiece_segment(word, vocab)) == tokens_or_error(
+            lambda: wordpiece_segment_uncapped(word, vocab)
+        )
 
     def test_round_trip_reassembly(self, synth32, vocab32, tok_config):
         for rec in synth32:
