@@ -54,9 +54,13 @@ def read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
         raise error(f"{what} cannot be read ({exc.strerror}): {path}") from None
 
 
-def read_input_text(path: str | Path, what: str, error: type[Exception]) -> str:
-    """:func:`read_input` decoded as strict UTF-8, line ends untranslated."""
-    data = read_input(path, what, error)
+def read_input_text(
+    path: str | Path, what: str, error: type[Exception], *, data: bytes | None = None
+) -> str:
+    """:func:`read_input`, or ``data`` when given, decoded as strict UTF-8,
+    line ends untranslated."""
+    if data is None:
+        data = read_input(path, what, error)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

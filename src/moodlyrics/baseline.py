@@ -106,9 +106,10 @@ def save_nb(model: NaiveBayesModel, path: str | Path) -> Path:
     return write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
-def load_nb(path: str | Path) -> NaiveBayesModel:
+def load_nb(path: str | Path, *, data: bytes | None = None) -> NaiveBayesModel:
+    """Read a :func:`save_nb` file; ``data``, when given, is its bytes."""
     path = Path(path)
-    lines = read_input_text(path, "model file", BaselineError).splitlines()
+    lines = read_input_text(path, "model file", BaselineError, data=data).splitlines()
     if not lines or lines[0] != NB_FORMAT:
         raise BaselineError(f"not a Naive Bayes model file: {path}")
     vocabulary: dict[str, int] = {}

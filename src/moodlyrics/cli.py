@@ -17,13 +17,14 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, baseline, evaluation
 from ._atomic import read_input, read_input_text, write_atomic, write_csv
+from ._config import parse_setting
 from .analytics import density_curve, emit_plot, freq_dist, lexical_stats
 from .corpus import (
     DropReport,
@@ -35,7 +36,7 @@ from .corpus import (
     stratified_split,
     synthesize_corpus,
 )
-from .errors import MoodlyricsError
+from .errors import CorpusError, MoodlyricsError, UsageError
 from .model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
@@ -58,10 +59,6 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)
 EVAL_BATCH = 32
 
 
-class UsageError(MoodlyricsError):
-    """Bad flags or config keys."""
-
-
 @dataclass
 class RunManifest:
     command: str
@@ -80,12 +77,17 @@ class RunManifest:
         return write_atomic(out_dir / "manifest.json", [text.encode("utf-8")])
 
 
-def _sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(read_input(path, "input file", UsageError)).hexdigest()
+def _read_corpus(path: str) -> tuple:
+    """``load_corpus`` on ``path`` and the SHA-256 of the bytes it parsed."""
+    data = read_input(path, "corpus file", CorpusError)
+    corpus, report = load_corpus(path, data=data)
+    return corpus, report, hashlib.sha256(data).hexdigest()
 
 
 def _fan_out_seeds(seed: int) -> dict[str, int]:
     """Fixed derivation of sub-seeds from the single --seed flag."""
+    if seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
     children = np.random.SeedSequence(seed).spawn(3)
     names = ("split", "init", "train")
     return {
@@ -103,46 +105,23 @@ def _resolve_out(args) -> Path:
     return out_dir
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+# each key a config file or --set may give, with what takes it and its type;
+# the run fixes the seeds (--seed), the model's vocabulary size and length
+# (the tokenizer's) and its one output per mood
+_SETTABLE = {
+    f.name: (cls, f.type)
+    for cls, fixed in ((TokenizerConfig, ()),
+                       (ModelConfig, ("vocab_size", "max_positions", "num_classes", "seed")),
+                       (TrainConfig, ("seed",)))
+    for f in fields(cls) if f.name not in fixed
+} | {"alpha": (baseline.nb_train, "float")}
 
 
-_TOKENIZER_KEYS = {"max_sequence_length": int, "vocab_size": int, "lowercase": _parse_bool}
-_MODEL_KEYS = {
-    "num_layers": int,
-    "hidden_size": int,
-    "num_heads": int,
-    "ffn_size": int,
-    "dropout_rate": float,
-}
-
-
-def _parse_class_weights(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-_TRAIN_KEYS = {
-    "batch_size": int,
-    "learning_rate": float,
-    "epochs": int,
-    "weight_decay": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "max_grad_norm": float,
-    "class_weights": _parse_class_weights,
-}
-_BASELINE_KEYS = {"alpha": float}
-
-
-def _read_config_pairs(args) -> dict[str, str]:
+def _read_settings(args) -> dict:
+    """The --config pairs, then the --set ones (the last of a key wins),
+    parsed as keyword arguments of what takes them."""
     pairs: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         lines = read_input_text(path, "config file", UsageError).splitlines()
         for lineno, line in enumerate(lines, 1):
@@ -153,40 +132,20 @@ def _read_config_pairs(args) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = stripped.partition("=")
             pairs[key.strip()] = value.strip()
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         pairs[key.strip()] = value.strip()
-    return pairs
-
-
-def _parse_value(key: str, raw: str, parse):
-    try:
-        return parse(raw)
-    except ValueError:
-        raise UsageError(f"cannot parse {key}={raw!r}") from None
-
-
-def _route_config(pairs: dict[str, str]) -> tuple[dict, dict, dict, dict]:
-    tok_kw: dict = {}
-    model_kw: dict = {}
-    train_kw: dict = {}
-    base_kw: dict = {}
+    routed: dict = {owner: {} for owner, _ in _SETTABLE.values()}
     for key, raw in pairs.items():
-        if key in _TOKENIZER_KEYS:
-            tok_kw[key] = _parse_value(key, raw, _TOKENIZER_KEYS[key])
-        elif key in _MODEL_KEYS:
-            model_kw[key] = _parse_value(key, raw, _MODEL_KEYS[key])
-        elif key in _TRAIN_KEYS:
-            train_kw[key] = _parse_value(key, raw, _TRAIN_KEYS[key])
-        elif key in _BASELINE_KEYS:
-            base_kw[key] = _parse_value(key, raw, _BASELINE_KEYS[key])
-        elif key == "seed":
+        if key == "seed":
             raise UsageError("set the seed with the --seed flag, not the config file")
-        else:
+        if key not in _SETTABLE:
             raise UsageError(f"unknown config key {key!r}")
-    return tok_kw, model_kw, train_kw, base_kw
+        owner, annotation = _SETTABLE[key]
+        routed[owner][key] = parse_setting(annotation, key, raw)
+    return routed
 
 
 def _parse_synthetic(spec: str) -> dict[str, int]:
@@ -200,7 +159,7 @@ def _parse_synthetic(spec: str) -> dict[str, int]:
         key = key.strip()
         if key not in options:
             raise UsageError(f"unknown --synthetic option {key!r}")
-        options[key] = _parse_value(key, value, int)
+        options[key] = parse_setting("int", key, value)
     return options
 
 
@@ -224,8 +183,7 @@ def cmd_ingest(args) -> int:
         corpus = synthesize_corpus(options["seed"], options["per_class"])
         report = DropReport()
     elif args.input:
-        corpus, report = load_corpus(args.input)
-        inputs[str(args.input)] = _sha256_file(args.input)
+        corpus, report, inputs[str(args.input)] = _read_corpus(args.input)
     else:
         raise UsageError("ingest needs --input or --synthetic")
 
@@ -269,7 +227,7 @@ def cmd_ingest(args) -> int:
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     out_dir = _resolve_out(args)
-    corpus, _ = load_corpus(args.input)
+    corpus, _, corpus_hash = _read_corpus(args.input)
     outputs: list[str] = []
 
     tokens = [tok for rec in corpus for tok in word_tokenize(rec.cleaned)]
@@ -308,7 +266,7 @@ def cmd_analyze(args) -> int:
         seed=None,
         derived_seeds={},
         config={"bin_width": args.bin_width},
-        inputs={str(args.input): _sha256_file(args.input)},
+        inputs={str(args.input): corpus_hash},
         outputs=outputs,
         metrics={"tokens": table.total, "unique_tokens": unique_total},
     )
@@ -340,9 +298,9 @@ def _metrics_dict(rep: evaluation.EvalReport) -> dict:
 def cmd_train(args) -> int:
     started = time.perf_counter()
     out_dir = _resolve_out(args)
-    corpus, _ = load_corpus(args.input)
+    corpus, _, corpus_hash = _read_corpus(args.input)
     seeds = _fan_out_seeds(args.seed)
-    tok_kw, model_kw, train_kw, base_kw = _route_config(_read_config_pairs(args))
+    settings = _read_settings(args)
     train_split, val_split, test_split = stratified_split(
         corpus, SPLIT_RATIOS, seeds["split"]
     )
@@ -351,7 +309,7 @@ def cmd_train(args) -> int:
     config_snapshot: dict = {}
 
     if args.model == "nb":
-        alpha = base_kw.get("alpha", 1.0)
+        alpha = settings[baseline.nb_train].get("alpha", 1.0)
         nb_model = baseline.nb_train(train_split, alpha=alpha)
         model_path = baseline.save_nb(nb_model, out_dir / "model.nb")
         outputs.append(str(model_path))
@@ -363,8 +321,8 @@ def cmd_train(args) -> int:
         config_snapshot = {"model": "nb", "alpha": alpha}
         print(f"naive bayes: test accuracy {rep.accuracy:.4f}")
     else:
-        tok_config = TokenizerConfig(**tok_kw)
-        train_config = TrainConfig(seed=seeds["train"], **train_kw)
+        tok_config = TokenizerConfig(**settings[TokenizerConfig])
+        train_config = TrainConfig(seed=seeds["train"], **settings[TrainConfig])
         vocab = train_wordpiece(train_split, tok_config)
         vocab_path = vocab.save(out_dir / "vocab.txt")
         outputs.append(str(vocab_path))
@@ -372,7 +330,7 @@ def cmd_train(args) -> int:
             vocab_size=len(vocab),
             max_positions=tok_config.max_sequence_length,
             seed=seeds["init"],
-            **model_kw,
+            **settings[ModelConfig],
         )
         params = init_model(model_config)
         checkpoint_path = out_dir / "checkpoint.ckpt"
@@ -418,7 +376,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         derived_seeds=seeds,
         config=config_snapshot,
-        inputs={str(args.input): _sha256_file(args.input)},
+        inputs={str(args.input): corpus_hash},
         outputs=outputs,
         metrics=metrics,
     )
@@ -426,18 +384,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sniff_checkpoint(path: str | Path) -> str:
-    path = Path(path)
-    data = read_input(path, "checkpoint", UsageError)
-    if data.startswith(CHECKPOINT_MAGIC):
-        return "bert"
+def _load_model(args):
+    """The --checkpoint model, from one read of the file: a Naive Bayes
+    model, or a transformer's (parameters, vocabulary, tokenizer settings)."""
+    data = read_input(args.checkpoint, "checkpoint", UsageError)
     if data.startswith(baseline.NB_FORMAT.encode("utf-8")):
-        return "nb"
-    raise UsageError(f"unrecognized checkpoint format: {path}")
-
-
-def _load_transformer(args):
-    params, vocab_hash, tok_config = load_checkpoint(args.checkpoint)
+        return baseline.load_nb(args.checkpoint, data=data)
+    if not data.startswith(CHECKPOINT_MAGIC):
+        raise UsageError(f"unrecognized checkpoint format: {Path(args.checkpoint)}")
+    params, vocab_hash, tok_config = load_checkpoint(args.checkpoint, data=data)
     if not args.vocab:
         raise UsageError("transformer checkpoints need --vocab")
     vocab = Vocabulary.load(args.vocab)
@@ -452,7 +407,7 @@ def _load_transformer(args):
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     out_dir = _resolve_out(args)
-    corpus, _ = load_corpus(args.input)
+    corpus, _, corpus_hash = _read_corpus(args.input)
     seeds = _fan_out_seeds(args.seed)
     if args.split == "all":
         chosen = corpus
@@ -460,15 +415,13 @@ def cmd_eval(args) -> int:
         splits = stratified_split(corpus, SPLIT_RATIOS, seeds["split"])
         chosen = splits[("train", "val", "test").index(args.split)]
 
-    kind = _sniff_checkpoint(args.checkpoint)
-    if kind == "bert":
-        params, vocab, tok_config = _load_transformer(args)
-        examples = encode_corpus(chosen, vocab, tok_config)
-        preds = _transformer_predictions(params, examples)
-    else:
-        nb_model = baseline.load_nb(args.checkpoint)
-        preds = [baseline.nb_predict(nb_model, rec.lyrics, cleaned=rec.cleaned)[0]
+    model = _load_model(args)
+    if isinstance(model, baseline.NaiveBayesModel):
+        preds = [baseline.nb_predict(model, rec.lyrics, cleaned=rec.cleaned)[0]
                  for rec in chosen]
+    else:
+        params, vocab, tok_config = model
+        preds = _transformer_predictions(params, encode_corpus(chosen, vocab, tok_config))
     golds = [rec.mood for rec in chosen]
 
     matrix = evaluation.confusion(preds, golds)
@@ -489,7 +442,7 @@ def cmd_eval(args) -> int:
         seed=args.seed,
         derived_seeds=seeds,
         config={"split": args.split, "checkpoint": str(args.checkpoint)},
-        inputs={str(args.input): _sha256_file(args.input)},
+        inputs={str(args.input): corpus_hash},
         outputs=outputs,
         metrics={args.split: _metrics_dict(rep)},
     )
@@ -508,14 +461,12 @@ def cmd_predict(args) -> int:
             "warning: lyrics are empty after cleaning; prediction uses no content",
             file=sys.stderr,
         )
-    kind = _sniff_checkpoint(args.checkpoint)
-    if kind == "bert":
-        params, vocab, tok_config = _load_transformer(args)
-        example = encode(lyrics, vocab, tok_config, cleaned=cleaned)
-        label, probs = predict(params, example)
+    model = _load_model(args)
+    if isinstance(model, baseline.NaiveBayesModel):
+        label, probs = baseline.nb_predict(model, lyrics, cleaned=cleaned)
     else:
-        nb_model = baseline.load_nb(args.checkpoint)
-        label, probs = baseline.nb_predict(nb_model, lyrics, cleaned=cleaned)
+        params, vocab, tok_config = model
+        label, probs = predict(params, encode(lyrics, vocab, tok_config, cleaned=cleaned))
     print(f"mood={label.name.lower()} p=" + ",".join(f"{p:.6f}" for p in probs))
     return 0
 

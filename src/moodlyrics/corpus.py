@@ -147,8 +147,9 @@ def _csv_rows(fh, path: Path):
         raise CorpusError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
-def load_corpus(path: str | Path) -> tuple[Corpus, DropReport]:
-    """Load a corpus CSV, dropping and counting invalid rows.
+def load_corpus(path: str | Path, *, data: bytes | None = None) -> tuple[Corpus, DropReport]:
+    """Load a corpus CSV, dropping and counting invalid rows. ``data``, when
+    given, is the file's bytes already read.
 
     Raises :class:`CorpusError` on a missing or unreadable file, bytes that
     are not UTF-8, a row the CSV reader rejects (such as a field over its
@@ -156,7 +157,7 @@ def load_corpus(path: str | Path) -> tuple[Corpus, DropReport]:
     or zero surviving rows.
     """
     path = Path(path)
-    text = read_input_text(path, "corpus file", CorpusError)
+    text = read_input_text(path, "corpus file", CorpusError, data=data)
     records: list[SongRecord] = []
     report = DropReport()
     reader = _csv_rows(io.StringIO(text, newline=""), path)

@@ -9,6 +9,10 @@ class MoodlyricsError(Exception):
     """Base class for user-facing validation failures."""
 
 
+class UsageError(MoodlyricsError):
+    """Bad flags, config keys, or setting values."""
+
+
 class CorpusError(MoodlyricsError):
     """Bad corpus file, label, or split request."""
 

@@ -28,15 +28,17 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
 from ._atomic import read_input, write_atomic
+from ._config import config_from_json
 from .corpus import MoodLabel
-from .errors import ModelError, TokenizerError
+from .errors import ModelError, TokenizerError, UsageError
 from .tokenizer import EncodedExample, TokenizerConfig
 
 LN_EPS = 1e-5
@@ -46,9 +48,6 @@ BUCKET_MULTIPLE = 8
 
 CHECKPOINT_MAGIC = b"MLCP"
 CHECKPOINT_VERSION = 1
-
-# the JSON value types each config field annotation accepts (a bool is no int)
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -96,28 +95,22 @@ class ModelConfig:
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter array name and shape, in fixed order."""
+    return dict(_param_shape_items(config))
+
+
+def _param_shape_items(config: ModelConfig):
     h, f = config.hidden_size, config.ffn_size
-    shapes: dict[str, tuple[int, ...]] = {
-        "tok_emb": (config.vocab_size, h),
-        "pos_emb": (config.max_positions, h),
-    }
+    layer = [(f"attn.w{key}", (h, h)) for key in "qkvo"]
+    layer += [(f"attn.b{key}", (h,)) for key in "qkvo"]
+    layer += [("ln1.g", (h,)), ("ln1.b", (h,)), ("ffn.w1", (h, f)), ("ffn.b1", (f,)),
+              ("ffn.w2", (f, h)), ("ffn.b2", (h,)), ("ln2.g", (h,)), ("ln2.b", (h,))]
+    yield "tok_emb", (config.vocab_size, h)
+    yield "pos_emb", (config.max_positions, h)
     for i in range(config.num_layers):
-        prefix = f"layers.{i}"
-        for name in ("wq", "wk", "wv", "wo"):
-            shapes[f"{prefix}.attn.{name}"] = (h, h)
-        for name in ("bq", "bk", "bv", "bo"):
-            shapes[f"{prefix}.attn.{name}"] = (h,)
-        shapes[f"{prefix}.ln1.g"] = (h,)
-        shapes[f"{prefix}.ln1.b"] = (h,)
-        shapes[f"{prefix}.ffn.w1"] = (h, f)
-        shapes[f"{prefix}.ffn.b1"] = (f,)
-        shapes[f"{prefix}.ffn.w2"] = (f, h)
-        shapes[f"{prefix}.ffn.b2"] = (h,)
-        shapes[f"{prefix}.ln2.g"] = (h,)
-        shapes[f"{prefix}.ln2.b"] = (h,)
-    shapes["head.w"] = (h, config.num_classes)
-    shapes["head.b"] = (config.num_classes,)
-    return shapes
+        for name, shape in layer:
+            yield f"layers.{i}.{name}", shape
+    yield "head.w", (h, config.num_classes)
+    yield "head.b", (config.num_classes,)
 
 
 @dataclass
@@ -554,23 +547,17 @@ def save_checkpoint(
     return write_atomic(path, chunks())
 
 
-def _config_from_json(cls, values):
-    """``cls(**values)`` once each value read from JSON has its field's type:
-    an integer for an int field, any number for a float field."""
-    for field in fields(cls):
-        if field.name in values and type(values[field.name]) not in _JSON_TYPES[field.type]:
-            raise TypeError(f"{field.name} must be a JSON {field.type}, got {values[field.name]!r}")
-    return cls(**values)
-
-
-def load_checkpoint(path: str | Path) -> tuple[Parameters, str, TokenizerConfig]:
-    """Read a checkpoint, validating magic, version, and array shapes
-    against the stored config.
+def load_checkpoint(
+    path: str | Path, *, data: bytes | None = None
+) -> tuple[Parameters, str, TokenizerConfig]:
+    """Read a checkpoint (or ``data``, its bytes already read), validating
+    magic, version, and array shapes against the stored config.
 
     Returns (parameters, vocab hash, tokenizer settings).
     """
     path = Path(path)
-    data = read_input(path, "checkpoint", ModelError)
+    if data is None:
+        data = read_input(path, "checkpoint", ModelError)
     if data[:4] != CHECKPOINT_MAGIC:
         raise ModelError(f"not a model checkpoint: {path}")
     if len(data) < 12:
@@ -580,22 +567,23 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, str, TokenizerConfig]
         raise ModelError(f"unsupported checkpoint version {version}")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-        config = _config_from_json(ModelConfig, header["model"])
+        config = config_from_json(ModelConfig, header["model"])
         listed = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
         vocab_hash = header["vocab_sha256"]
         if not isinstance(vocab_hash, str):
             raise TypeError(f"vocab_sha256 must be a string, got {vocab_hash!r}")
-        tokenizer = _config_from_json(TokenizerConfig, header["tokenizer"])
+        tokenizer = config_from_json(TokenizerConfig, header["tokenizer"])
         if (length := tokenizer.max_sequence_length) > config.max_positions:
             raise ValueError(f"tokenizer length {length} exceeds max_positions")
     # a deeply nested header makes json raise RecursionError; the config
     # classes raise their own errors on out-of-range values
     except (ValueError, TypeError, KeyError, RecursionError,
-            ModelError, TokenizerError) as exc:
+            ModelError, TokenizerError, UsageError) as exc:
         raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
-    expected = param_shapes(config)
+    # one entry past the list tells a longer config, however many layers it has
+    expected = dict(islice(_param_shape_items(config), len(listed) + 1))
     if listed != expected:
-        raise ModelError("checkpoint arrays do not match the stored config")
+        raise ModelError(f"checkpoint arrays do not match the stored config: {path}")
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + header_len
     for entry in header["arrays"]:

@@ -1,10 +1,15 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
 import re
+import resource
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,8 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moodlyrics
+from moodlyrics import baseline, cli
+from moodlyrics._config import _CODECS, parse_setting
 from moodlyrics.cli import main
 from moodlyrics.corpus import clean_text, load_corpus, save_corpus, synthesize_corpus
+from moodlyrics.errors import MoodlyricsError
+from moodlyrics.model import ModelConfig
+from moodlyrics.tokenizer import TokenizerConfig
+from moodlyrics.trainer import TrainConfig
 
 BERT_FLAGS = [
     "--set", "epochs=3", "--set", "num_layers=1", "--set", "hidden_size=16",
@@ -437,6 +449,53 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     assert str(bad) in err
 
 
+def test_header_claiming_huge_layer_count_exits_2(trained, tmp_path):
+    """The header's array list is checked against a config of 10**30 layers
+    without building an entry per layer. The command runs in a child process
+    capped at 2 GiB of address space, so a loader that does build them fails
+    here with a MemoryError instead of exhausting the machine."""
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header((trained / "checkpoint.ckpt").read_bytes(),
+                                lambda h: h["model"].update(num_layers=10**30)))
+    cap = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "moodlyrics.cli", "predict", "--checkpoint", str(bad),
+         "--vocab", str(trained / "vocab.txt"), "--lyrics", "ভালোবাসা প্রেম"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(moodlyrics.__file__).parents[1]),
+             "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert_one_error_line(proc.returncode, proc.stderr)
+    assert str(bad) in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_negative_seed_exits_2(corpus_csv, nb_model, tmp_path, capsys, command):
+    argv = {"train": ["train", "--model", "nb", "--seed", "-1"],
+            "eval": ["eval", "--checkpoint", nb_model, "--seed", "-3"]}[command]
+    code = run([*argv, "--input", corpus_csv, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert "--seed must be a non-negative integer, got -" in err
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("seed", "set the seed with the --seed flag, not the config file"),
+     ("max_positions", "unknown config key 'max_positions'"),
+     ("num_classes", "unknown config key 'num_classes'"),
+     ("lowercase", "expected a boolean, got 'maybe'"),
+     ("num_layers", "cannot parse num_layers='maybe'")],
+    ids=["seed", "max-positions", "num-classes", "bool", "int"],
+)
+def test_fixed_keys_and_unparsable_values_exit_2(corpus_csv, tmp_path, capsys, key, message):
+    code = run(["train", "--input", corpus_csv, "--model", "nb",
+                "--set", f"{key}=maybe", "--out", tmp_path / "o"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command",
     [["analyze"], ["train", "--model", "nb"], ["train", "--model", "bert", *BERT_FLAGS]],
@@ -455,6 +514,45 @@ def test_each_song_is_cleaned_once(corpus_csv, tmp_path, monkeypatch, command):
             monkeypatch.setattr(module, "clean_text", counting_clean_text)
     assert run([*command, "--input", corpus_csv, "--out", tmp_path / "out"]) == 0
     assert len(cleaned) == songs
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["ingest", "analyze", "train-nb", "train-bert", "eval-bert", "eval-nb",
+     "predict-bert", "predict-nb"],
+)
+def test_each_input_file_is_read_once(corpus_csv, trained, nb_model, tmp_path,
+                                      monkeypatch, which):
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs=1\n", encoding="utf-8")
+    checkpoint, vocab = trained / "checkpoint.ckpt", trained / "vocab.txt"
+    out = ["--out", tmp_path / "o"]
+    argv, inputs = {
+        "ingest": (["ingest", "--input", corpus_csv, *out], [corpus_csv]),
+        "analyze": (["analyze", "--input", corpus_csv, *out], [corpus_csv]),
+        "train-nb": (["train", "--model", "nb", "--input", corpus_csv, "--config", config,
+                      *out], [corpus_csv, config]),
+        "train-bert": (["train", "--model", "bert", "--input", corpus_csv,
+                        "--config", config, *BERT_FLAGS, *out], [corpus_csv, config]),
+        "eval-bert": (["eval", "--checkpoint", checkpoint, "--vocab", vocab,
+                       "--input", corpus_csv, *out], [corpus_csv, checkpoint, vocab]),
+        "eval-nb": (["eval", "--checkpoint", nb_model, "--input", corpus_csv, *out],
+                    [corpus_csv, nb_model]),
+        "predict-bert": (["predict", "--checkpoint", checkpoint, "--vocab", vocab,
+                          "--lyrics", "ভালোবাসা"], [checkpoint, vocab]),
+        "predict-nb": (["predict", "--checkpoint", nb_model, "--lyrics", "ভালোবাসা"],
+                       [nb_model]),
+    }[which]
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        reads.append(str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    assert run(argv) == 0
+    assert sorted(reads) == sorted(map(str, inputs))
 
 
 class TestEnvironment:
@@ -552,9 +650,13 @@ class TestMutatedInputs:
     def check(self, scratch, original: bytes, mutation, argv_for) -> None:
         target = scratch / "input"
         target.write_bytes(mutate(original, *mutation))
+        self.check_run(argv_for(target))
+
+    @staticmethod
+    def check_run(argv) -> None:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(argv_for(target))
+            code = run(argv)
         err = err.getvalue()
         assert "Traceback" not in err, err
         assert code in (0, 2), err
@@ -601,3 +703,131 @@ class TestMutatedInputs:
         self.check(scratch, LYRICS.encode("utf-8"), mutation,
                    lambda m: ["predict", "--checkpoint", trained / "checkpoint.ckpt",
                               "--vocab", trained / "vocab.txt", "--file", m])
+
+    @MUTATED
+    @given(data=st.data())
+    def test_checkpoint_header(self, trained, scratch, data):
+        """A real header with one value deleted, swapped to another JSON type
+        or replaced; values in the model and tokenizer blocks are drawn as
+        often as all the others together."""
+        checkpoint = (trained / "checkpoint.ckpt").read_bytes()
+        header_len = struct.unpack("<II", checkpoint[4:12])[1]
+        paths = list(_header_paths(json.loads(checkpoint[12 : 12 + header_len])))[1:]
+        config_paths = [p for p in paths if p[0] in ("model", "tokenizer")]
+        path = data.draw(st.sampled_from(config_paths) | st.sampled_from(paths))
+        action = data.draw(st.sampled_from([("delete",), ("swap",)])
+                           | HEADER_VALUES.map(lambda value: ("set", value)))
+        target = scratch / "header.ckpt"
+        target.write_bytes(with_header(checkpoint, lambda h: _edit_at(h, path, action)))
+        self.check_run(["predict", "--checkpoint", target, "--vocab", trained / "vocab.txt",
+                        "--lyrics", LYRICS])
+
+
+HEADER_VALUES = st.sampled_from([
+    None, True, False, 0, -1, 1, 3, 7, 2**63, 10**30, 0.5, 24.0, -0.0, math.inf,
+    -math.inf, math.nan, "", "24", "x", [], [8, 16], {}, {"hidden_size": 16},
+])
+
+
+def _header_paths(node, path=()):
+    """Every key path into a parsed JSON header, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _header_paths(child, (*path, key))
+
+
+def _swap_type(value):
+    """``value`` as another JSON type holding the same number or text."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float):
+        return str(value)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return {str(i): item for i, item in enumerate(value)}
+    if isinstance(value, dict):
+        return list(value.values())
+    return 0
+
+
+def _edit_at(header: dict, path: tuple, action: tuple) -> None:
+    *parents, last = path
+    node = header
+    for key in parents:
+        node = node[key]
+    if action[0] == "delete":
+        del node[last]
+    else:
+        node[last] = _swap_type(node[last]) if action[0] == "swap" else action[1]
+
+
+SETTING_TEXT = st.one_of(
+    st.sampled_from([
+        "nan", "inf", "-inf", "1e400", "-1e400", "", " 5 ", "٣٢", "১৬", "٣.٥", "True",
+        "true", "yes", "maybe", "0", "-1", "1_000", "0x10", "2e-3", "1,1,1,2.5",
+        "1,nan,1,1", "1,2,3", "1,1,1,1,1", ",", "None", "9" * 5000,
+    ]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=8),
+    st.lists(st.floats().map(repr), min_size=1, max_size=5).map(",".join),
+)
+SETTABLE_KEYS = sorted(cli._SETTABLE)
+# what each annotation's values are once parsed
+PARSED_TYPES = {"int": int, "float": float, "bool": bool,
+                "tuple[float, float, float, float] | None": tuple}
+
+
+def test_every_config_field_has_a_codec():
+    for cls in (TokenizerConfig, ModelConfig, TrainConfig):
+        for field in dataclasses.fields(cls):
+            assert field.type in _CODECS and field.type in PARSED_TYPES, field
+
+
+class TestSettingValues:
+    """Any text for a settable key or a ``--synthetic`` option gives its
+    settings or a ``MoodlyricsError``, never another exception. Checked at the
+    codec and config level, so no drawn size allocates a model."""
+
+    @MUTATED
+    @given(key=st.sampled_from(SETTABLE_KEYS), raw=SETTING_TEXT)
+    def test_codec_gives_the_annotated_type(self, key, raw):
+        annotation = cli._SETTABLE[key][1]
+        try:
+            value = parse_setting(annotation, key, raw)
+        except MoodlyricsError as exc:
+            assert f"{key}=" in str(exc) or "expected a boolean" in str(exc)
+        else:
+            assert type(value) is PARSED_TYPES[annotation]
+
+    @MUTATED
+    @given(pairs=st.dictionaries(st.sampled_from(SETTABLE_KEYS), SETTING_TEXT, max_size=4))
+    def test_set_flags_give_configs(self, pairs):
+        args = argparse.Namespace(config=None, set=[f"{k}={v}" for k, v in pairs.items()])
+        try:
+            routed = cli._read_settings(args)
+            TokenizerConfig(**routed[TokenizerConfig])
+            ModelConfig(vocab_size=400, max_positions=24, **routed[ModelConfig])
+            TrainConfig(**routed[TrainConfig])
+            baseline.nb_train(synthesize_corpus(1, 1), **routed[baseline.nb_train])
+        except MoodlyricsError:
+            pass
+
+    @MUTATED
+    @given(spec=st.text(max_size=12) | st.lists(
+        st.tuples(st.sampled_from(["seed", "per_class", " seed ", "bogus"]), SETTING_TEXT),
+        max_size=3).map(lambda kv: ",".join(f"{k}={v}" for k, v in kv)))
+    def test_synthetic_spec_gives_options(self, spec):
+        try:
+            options = cli._parse_synthetic(spec)
+            synthesize_corpus(options["seed"], min(options["per_class"], 1))
+        except MoodlyricsError:
+            return
+        assert all(type(value) is int for value in options.values())
