@@ -105,12 +105,34 @@ def adamw_update(
     weight_decay: float,
     bias_c1: float,
     bias_c2: float,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """In-place AdamW step on flat arrays; decay is decoupled."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / bias_c1
-    v_hat = v / bias_c2
-    param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
+    """In-place AdamW step on 1-D arrays; decay is decoupled.
+
+    ``scratch`` is two 1-D arrays of one length that the step overwrites.
+    The arrays are updated in blocks of that length, so each block's passes
+    run in cache and the step allocates nothing. Every element goes through
+    the operations of ``param -= lr * (m_hat / (sqrt(v_hat) + eps) +
+    weight_decay * param)`` in that expression's order, so the result does
+    not depend on the block length."""
+    block = len(scratch[0])
+    for start in range(0, len(param), block):
+        stop = start + block
+        p, g, mb, vb = param[start:stop], grad[start:stop], m[start:stop], v[start:stop]
+        s1, s2 = scratch[0][: len(p)], scratch[1][: len(p)]
+        mb *= beta1
+        np.multiply(g, 1.0 - beta1, out=s1)
+        mb += s1
+        vb *= beta2
+        np.multiply(g, 1.0 - beta2, out=s1)
+        s1 *= g
+        vb += s1
+        np.divide(mb, bias_c1, out=s1)
+        np.divide(vb, bias_c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        np.multiply(p, weight_decay, out=s2)
+        s1 += s2
+        s1 *= lr
+        p -= s1

@@ -69,22 +69,28 @@ def density_curve(
     corpus: Corpus,
     bin_width: int = 25,
     stopwords: frozenset[str] = frozenset(),
+    *,
+    stats: list[LexicalStats] | None = None,
 ) -> list[tuple[int, float]]:
     """Mean lexical density per unique-token-count bin, sorted by bin.
 
     Bins are half-open intervals [k*bin_width, (k+1)*bin_width); each point
     is one song. Only occupied bins appear, labeled by their lower edge.
+    ``stats``, the songs' ``lexical_stats`` already computed in corpus
+    order, are used as given instead of being computed again (so
+    ``stopwords`` is not read).
     """
     if len(corpus) == 0:
         raise AnalyticsError("cannot compute a density curve on an empty corpus")
     if bin_width < 1:
         raise AnalyticsError(f"bin_width must be >= 1, got {bin_width}")
+    if stats is None:
+        stats = [lexical_stats(rec, stopwords) for rec in corpus]
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for rec in corpus:
-        stats = lexical_stats(rec, stopwords)
-        bin_start = (stats.unique_count // bin_width) * bin_width
-        sums[bin_start] = sums.get(bin_start, 0.0) + stats.lexical_density
+    for song in stats:
+        bin_start = (song.unique_count // bin_width) * bin_width
+        sums[bin_start] = sums.get(bin_start, 0.0) + song.lexical_density
         counts[bin_start] = counts.get(bin_start, 0) + 1
     return [(b, sums[b] / counts[b]) for b in sorted(sums)]
 

@@ -239,14 +239,14 @@ def cmd_analyze(args) -> int:
     stats_rows = [
         ["title", "token_count", "unique_count", "type_token_ratio", "lexical_density"]
     ]
-    for rec in corpus:
-        stats = lexical_stats(rec)
+    song_stats = [lexical_stats(rec) for rec in corpus]
+    for rec, stats in zip(corpus, song_stats):
         stats_rows.append([rec.title, stats.token_count, stats.unique_count,
                            repr(stats.type_token_ratio), repr(stats.lexical_density)])
     stats_path = write_csv(out_dir / "lexical_stats.csv", stats_rows)
     outputs.append(str(stats_path))
 
-    curve = density_curve(corpus, bin_width=args.bin_width)
+    curve = density_curve(corpus, bin_width=args.bin_width, stats=song_stats)
     chart = emit_plot(
         [("lexical_density", [(float(b), m) for b, m in curve])],
         out_dir / "density_curve.svg",

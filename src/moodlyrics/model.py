@@ -136,16 +136,20 @@ class Parameters:
 
 def init_model(config: ModelConfig, dtype=np.float32) -> Parameters:
     """Weights ~ N(0, 0.02), biases zero, layer-norm gains one.
-    Deterministic per config.seed."""
+    Deterministic per config.seed. A model too large for memory raises
+    ModelError."""
     rng = np.random.default_rng(config.seed)
     arrays: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        if len(shape) > 1:
-            arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-        elif name.endswith(".g"):
-            arrays[name] = np.ones(shape, dtype=dtype)
-        else:
-            arrays[name] = np.zeros(shape, dtype=dtype)
+    try:
+        for name, shape in param_shapes(config).items():
+            if len(shape) > 1:
+                arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+            elif name.endswith(".g"):
+                arrays[name] = np.ones(shape, dtype=dtype)
+            else:
+                arrays[name] = np.zeros(shape, dtype=dtype)
+    except MemoryError as exc:
+        raise ModelError(f"model does not fit in memory: {exc}") from None
     return Parameters(config, arrays)
 
 
@@ -463,16 +467,19 @@ def backward(
     trace: ForwardTrace,
     labels: np.ndarray,
     class_weights=None,
+    *,
+    out: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the (optionally class-weighted) mean
     cross-entropy loss for every parameter array, summed over the
-    trace's buckets."""
+    trace's buckets. They are added into ``out``, zeroed arrays shaped like
+    the parameters, when it is given, and into new ones otherwise."""
     if trace.logits.shape[0] != len(labels):
         raise ModelError("trace and labels batch sizes differ")
 
     d_logits = softmax_cross_entropy(trace.logits, labels, class_weights)[1].astype(params.dtype)
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads = out if out is not None else {name: np.zeros_like(arr) for name, arr in params.items()}
     for bucket in trace.buckets:
         _bucket_backward(params, bucket, d_logits[bucket.index], grads)
     return grads

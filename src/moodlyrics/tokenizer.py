@@ -245,6 +245,7 @@ def wordpiece_segment(word: str, vocab: Vocabulary) -> list[str]:
     none longer than the vocabulary's longest token."""
     if word.split() != [word]:
         raise TokenizerError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
+    known = vocab.id_of
     pieces = []
     start = 0
     while start < len(word):
@@ -254,7 +255,7 @@ def wordpiece_segment(word: str, vocab: Vocabulary) -> list[str]:
             piece = word[start:end]
             if start > 0:
                 piece = CONTINUATION + piece
-            if piece in vocab:
+            if piece in known:
                 match = piece
                 break
             end -= 1

@@ -5,8 +5,9 @@ oracle tests every character's Unicode category in turn, the Naive Bayes
 oracle multiplies plain probabilities (no logs), the WordPiece oracle
 recounts every pair on every merge, the segmentation oracle tries every end
 position from the end of the word, the encoder oracle runs one example at
-full length with every query row in every layer, and the CSV builder
-writes files by hand.
+full length with every query row in every layer, the AdamW oracle
+evaluates the update expression with a fresh array per operation, and the
+CSV builder writes files by hand.
 """
 
 import unicodedata
@@ -186,3 +187,17 @@ def full_encoder_logits(params, example) -> np.ndarray:
         gelu = 0.5 * u * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * u**3)))
         x = layer_norm(x + gelu @ w["ffn.w2"] + w["ffn.b2"], w["ln2.g"], w["ln2.b"])
     return x[0] @ p["head.w"] + p["head.b"]
+
+
+def adamw_update_allocating(
+    param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2
+) -> None:
+    """In-place AdamW step written as the textbook expressions, each
+    operation allocating its result."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    m_hat = m / bias_c1
+    v_hat = v / bias_c2
+    param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)

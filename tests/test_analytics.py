@@ -90,6 +90,15 @@ class TestDensityCurve:
             containing = [b for b in starts if b <= n < b + bin_width]
             assert len(containing) == 1
 
+    def test_given_stats_give_the_same_curve(self, synth32):
+        stopwords = frozenset({"এই", "তুমি", "আমি"})
+        stats = [lexical_stats(rec, stopwords) for rec in synth32]
+        assert any(song.lexical_density < 1.0 for song in stats)
+        for bin_width in (1, 2, 25):
+            assert density_curve(synth32, bin_width, stats=stats) == density_curve(
+                synth32, bin_width, stopwords
+            )
+
     def test_sorted_by_bin(self, synth32):
         curve = density_curve(synth32, bin_width=2)
         assert [b for b, _ in curve] == sorted(b for b, _ in curve)

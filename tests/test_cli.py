@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moodlyrics
-from moodlyrics import baseline, cli
+from moodlyrics import analytics, baseline, cli
+from moodlyrics.analytics import lexical_stats
 from moodlyrics._config import _CODECS, parse_setting
 from moodlyrics.cli import main
 from moodlyrics.corpus import clean_text, load_corpus, save_corpus, synthesize_corpus
@@ -102,6 +103,19 @@ class TestAnalyze:
             assert (out_a / name).is_file()
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_lexical_stats_computed_once_per_song(self, corpus_csv, tmp_path, monkeypatch):
+        songs = len(load_corpus(corpus_csv)[0])
+        calls = []
+
+        def counting_lexical_stats(record, *args, **kwargs):
+            calls.append(record.title)
+            return lexical_stats(record, *args, **kwargs)
+
+        monkeypatch.setattr(analytics, "lexical_stats", counting_lexical_stats)
+        monkeypatch.setattr(cli, "lexical_stats", counting_lexical_stats)
+        assert run(["analyze", "--input", corpus_csv, "--out", tmp_path / "o"]) == 0
+        assert len(calls) == songs
+
     def test_single_song_corpus(self, tmp_path):
         csv_path = tmp_path / "one.csv"
         csv_path.write_text(
@@ -164,6 +178,8 @@ class TestTrain:
             (["train", "--model", "bert", "--set", "learning_rate=inf"], "learning_rate"),
             (["train", "--model", "bert", "--set", "weight_decay=nan"], "weight_decay"),
             (["train", "--model", "bert", "--set", "epsilon=inf"], "epsilon"),
+            (["train", "--model", "bert", "--set", "epsilon=0"], "epsilon must be > 0, got 0"),
+            (["train", "--model", "bert", "--set", "epsilon=-1"], "epsilon must be > 0, got -1"),
             (["train", "--model", "bert", "--set", "max_grad_norm=nan"], "max_grad_norm"),
             (["train", "--model", "bert", "--set", "class_weights=1,nan,1,1"], "class_weights"),
             (["train", "--model", "nb", "--set", "alpha=nan"], "alpha"),
@@ -172,6 +188,7 @@ class TestTrain:
         ids=[
             "bogus", "epochs-not-int", "alpha-not-float", "synthetic-seed-not-int",
             "learning-rate-nan", "learning-rate-inf", "weight-decay-nan", "epsilon-inf",
+            "epsilon-zero", "epsilon-negative",
             "max-grad-norm-nan", "class-weight-nan", "alpha-nan", "alpha-inf",
         ],
     )
@@ -468,6 +485,23 @@ def test_header_claiming_huge_layer_count_exits_2(trained, tmp_path):
     )
     assert_one_error_line(proc.returncode, proc.stderr)
     assert str(bad) in proc.stderr
+
+
+def test_model_too_large_for_memory_exits_2(corpus_csv, tmp_path):
+    """An embedding table of 10**8 columns cannot be allocated; the command
+    runs in a child process capped at 2 GiB of address space, as above."""
+    cap = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "moodlyrics.cli", "train", "--input", str(corpus_csv),
+         "--model", "bert", *map(str, BERT_FLAGS), "--set", "hidden_size=100000000",
+         "--set", "num_heads=1", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(moodlyrics.__file__).parents[1]),
+             "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert_one_error_line(proc.returncode, proc.stderr)
+    assert "model does not fit in memory" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -1,6 +1,10 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlyrics import _kernels as K
+
+from oracles import adamw_update_allocating
 
 RNG = np.random.default_rng(123)
 
@@ -78,6 +82,39 @@ class TestLayerNorm:
             down = loss(probe)
             fd = (up - down) / (2 * eps)
             assert abs(fd - dx[i, j]) < 1e-6
+
+
+class TestAdamWUpdate:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        size=st.integers(1, 300),
+        block=st.integers(1, 320),
+        weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_in_place_equals_allocating_oracle(
+        self, dtype, size, block, weight_decay, seed
+    ):
+        """30 steps of the blocked kernel, any block length, give the oracle's
+        bytes for the parameter and both moments."""
+        rng = np.random.default_rng(seed)
+        param = rng.normal(size=size).astype(dtype)
+        m, v = np.zeros_like(param), np.zeros_like(param)
+        ref_param, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+        block = min(block, size)
+        scratch = (np.empty(block, dtype), np.empty(block, dtype))
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for step in range(1, 31):
+            grad = (rng.normal(size=size) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+            grad[rng.random(size) < 0.1] = 0.0
+            bias_c1, bias_c2 = 1.0 - beta1**step, 1.0 - beta2**step
+            args = (lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2)
+            K.adamw_update(param, grad, m, v, *args, scratch)
+            adamw_update_allocating(ref_param, grad, ref_m, ref_v, *args)
+            for got, want in ((param, ref_param), (m, ref_m), (v, ref_v)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestSelection:

@@ -69,6 +69,21 @@ class TestAdamW:
         with pytest.raises(TrainerError, match="non-finite"):
             adamw_step(params, {"w": np.array([np.nan])}, state, 0.1, TrainConfig())
 
+    def test_non_finite_gradient_names_first_array_and_changes_nothing(self):
+        # b (exempt) comes before w2 in parameter order, after it in group order
+        arrays = {"w1": np.ones((2, 2)), "b": np.ones(2), "w2": np.ones((2, 2))}
+        params = Parameters(TINY_MODEL, arrays)
+        state = init_adam_state(params)
+        before = params.copy()
+        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        grads["w1"][:] = 1.0
+        grads["b"][1] = np.inf
+        grads["w2"][0, 0] = np.nan
+        with pytest.raises(TrainerError, match="non-finite gradient for b at step 1$"):
+            adamw_step(params, grads, state, 0.1, TrainConfig())
+        for name, arr in params.items():
+            assert np.array_equal(arr, before[name])
+
     def test_matches_reference_adam_sequence(self):
         # independent step-by-step reference of the update equations
         params, state = single_param([0.5])
@@ -84,6 +99,37 @@ class TestAdamW:
             v_hat = v / (1 - 0.999**t)
             theta -= 0.01 * m_hat / (math.sqrt(v_hat) + 1e-8)
             assert params["w"][0] == pytest.approx(theta, abs=1e-12)
+
+
+class TestInitAdamState:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_packing_keeps_every_value(self, dtype):
+        params = init_model(TINY_MODEL, dtype=dtype)
+        before = params.copy()
+        state = init_adam_state(params)
+        assert list(params.arrays) == list(before.arrays)
+        assert list(state.grads) == list(before.arrays)
+        for name, arr in params.items():
+            assert arr.dtype == before[name].dtype and arr.shape == before[name].shape
+            assert np.array_equal(arr, before[name])
+            assert state.grads[name].shape == arr.shape and not state.grads[name].any()
+        # one decayed and one exempt buffer, each holding its arrays' values
+        assert [group.decayed for group in state.groups] == [True, False]
+        for group in state.groups:
+            assert all(np.shares_memory(params[name], group.param) for name in group.names)
+            assert all(before[name].ndim > 1 for name in group.names) == group.decayed
+        assert sum(group.param.size for group in state.groups) == sum(
+            arr.size for arr in before.arrays.values()
+        )
+
+    def test_mixed_dtypes_pack_apart(self):
+        arrays = {"a": np.ones((2, 3), np.float32), "b": np.full((3, 2), 2.0),
+                  "c": np.arange(3, dtype=np.float32)}
+        params = Parameters(TINY_MODEL, {n: a.copy() for n, a in arrays.items()})
+        state = init_adam_state(params)
+        assert len(state.groups) == 3
+        for name, arr in arrays.items():
+            assert params[name].dtype == arr.dtype and np.array_equal(params[name], arr)
 
 
 class TestLinearSchedule:
@@ -132,6 +178,20 @@ class TestClipGradNorm:
             clip_grad_norm(grads, max_norm)
             after = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
             assert abs(after - min(before, max_norm)) < 1e-9
+
+    def test_returns_pre_clip_norm(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-3, 1.0, 1e3):
+            grads = {
+                "a": (rng.normal(size=(5, 7)) * scale).astype(np.float32),
+                "b": rng.normal(size=13) * scale,
+            }
+            brute = math.sqrt(math.fsum(
+                float(x) ** 2 for g in grads.values() for x in g.ravel()
+            ))
+            norm = clip_grad_norm(grads, 1.0)
+            assert isinstance(norm, float)
+            assert norm == pytest.approx(brute, rel=1e-12)
 
 
 class TestHistory:
@@ -233,6 +293,27 @@ class TestTrain:
         )
         with pytest.raises(TrainerError, match="non-finite loss"):
             train(params, corpus, corpus, vocab, tok_config, config)
+
+    def test_backward_out_gives_same_bytes(self, monkeypatch, tmp_path):
+        """Gradients written into the optimizer's buffers and gradients in a
+        fresh dict, copied in by adamw_step, train to the same bytes."""
+        results = []
+        for into_state in (True, False):
+            if not into_state:
+                backward = trainer_module.backward
+                monkeypatch.setattr(
+                    trainer_module, "backward",
+                    lambda *args, out, **kwargs: backward(*args, **kwargs),
+                )
+            corpus, tok_config, vocab, params, config = small_training_setup(
+                epochs=2, max_grad_norm=0.05
+            )
+            ckpt = tmp_path / f"{into_state}.ckpt"
+            _, history = train(params, corpus, corpus, vocab, tok_config, config,
+                               checkpoint_path=ckpt)
+            results.append((history, ckpt.read_bytes(),
+                            [arr.tobytes() for arr in params.arrays.values()]))
+        assert results[0] == results[1]
 
     def test_config_validation(self):
         with pytest.raises(TrainerError):
