@@ -1,11 +1,12 @@
 """Command-line pipeline: ingest, analyze, train, eval, predict.
 
-Every command that writes artifacts also writes a ``manifest.json`` (last)
-listing the config snapshot, seeds, input hashes, output paths, metrics,
-and wall-clock duration. Exit codes: 0 success, 1 internal error, 2
-user/input error. All randomness fans out from a single ``--seed`` by a
-fixed derivation. ``MOODLYRICS_OUT`` overrides the default output
-directory.
+Every command but ``predict`` writes artifacts into an output directory and
+fills in a ``RunManifest``: config snapshot, seeds, input hashes, output
+paths and metrics. ``main`` resolves the directory, times the command and
+writes ``manifest.json`` last, only when the command succeeds. Exit codes:
+0 success, 1 internal error, 2 user/input error or out of memory. All
+randomness fans out from a single ``--seed`` by a fixed derivation.
+``MOODLYRICS_OUT`` overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -63,13 +64,20 @@ EVAL_BATCH = 32
 class RunManifest:
     command: str
     argv: list[str]
-    seed: int | None
-    derived_seeds: dict[str, int]
-    config: dict
-    inputs: dict[str, str]
+    seed: int | None = None
+    derived_seeds: dict[str, int] = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
+    inputs: dict[str, str] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     duration_seconds: float = 0.0
+
+    def wrote(self, *paths: Path) -> None:
+        self.outputs += map(str, paths)
+
+    def plotted(self, chart: Path) -> None:
+        """An SVG chart and its CSV sidecar."""
+        self.wrote(chart, chart.with_suffix(".csv"))
 
     def save(self, out_dir: Path, started: float) -> Path:
         self.duration_seconds = time.perf_counter() - started
@@ -77,22 +85,25 @@ class RunManifest:
         return write_atomic(out_dir / "manifest.json", [text.encode("utf-8")])
 
 
-def _read_corpus(path: str) -> tuple:
-    """``load_corpus`` on ``path`` and the SHA-256 of the bytes it parsed."""
+def _read_corpus(path: str, run: RunManifest) -> tuple:
+    """``load_corpus`` on ``path``; the run records the SHA-256 of the bytes
+    it parsed."""
     data = read_input(path, "corpus file", CorpusError)
-    corpus, report = load_corpus(path, data=data)
-    return corpus, report, hashlib.sha256(data).hexdigest()
+    run.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    return load_corpus(path, data=data)
 
 
-def _fan_out_seeds(seed: int) -> dict[str, int]:
+def _fan_out_seeds(seed: int, run: RunManifest) -> dict[str, int]:
     """Fixed derivation of sub-seeds from the single --seed flag."""
     if seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {seed}")
     children = np.random.SeedSequence(seed).spawn(3)
     names = ("split", "init", "train")
-    return {
+    run.seed = seed
+    run.derived_seeds = {
         name: int(child.generate_state(1)[0]) for name, child in zip(names, children)
     }
+    return run.derived_seeds
 
 
 def _resolve_out(args) -> Path:
@@ -174,67 +185,42 @@ def _mood_bar_series(dist) -> list:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out(args)
-    inputs: dict[str, str] = {}
+def cmd_ingest(args, run: RunManifest, out_dir: Path) -> None:
     if args.synthetic is not None:
         options = _parse_synthetic(args.synthetic)
         corpus = synthesize_corpus(options["seed"], options["per_class"])
         report = DropReport()
     elif args.input:
-        corpus, report, inputs[str(args.input)] = _read_corpus(args.input)
+        corpus, report = _read_corpus(args.input, run)
     else:
         raise UsageError("ingest needs --input or --synthetic")
 
-    outputs: list[str] = []
-    csv_path = save_corpus(corpus, out_dir / "corpus.csv")
-    outputs.append(str(csv_path))
-
+    run.wrote(save_corpus(corpus, out_dir / "corpus.csv"))
     drop_lines = report.lines()
     for line in drop_lines:
         print(line, file=sys.stderr)
     drops_text = "\n".join(drop_lines) + "\n"
-    drops_path = write_atomic(out_dir / "drops.log", [drops_text.encode("utf-8")])
-    outputs.append(str(drops_path))
-
+    run.wrote(write_atomic(out_dir / "drops.log", [drops_text.encode("utf-8")]))
     dist = mood_distribution(corpus)
-    chart = emit_plot(_mood_bar_series(dist), out_dir / "mood_distribution.svg", "bar")
-    outputs += [str(chart), str(chart.with_suffix(".csv"))]
+    run.plotted(emit_plot(_mood_bar_series(dist), out_dir / "mood_distribution.svg", "bar"))
 
     print(f"{len(corpus)} records from {corpus.provenance}")
     for label in MoodLabel:
         print(f"  {label.display}: {dist.counts[label]} ({dist.fractions[label]:.1%})")
-
-    manifest = RunManifest(
-        command="ingest",
-        argv=args.argv,
-        seed=None,
-        derived_seeds={},
-        config={"synthetic": args.synthetic},
-        inputs=inputs,
-        outputs=outputs,
-        metrics={
-            "records": len(corpus),
-            "dropped": report.dropped,
-            "counts": {label.display: dist.counts[label] for label in MoodLabel},
-        },
-    )
-    manifest.save(out_dir, started)
-    return 0
+    run.config = {"synthetic": args.synthetic}
+    run.metrics = {
+        "records": len(corpus),
+        "dropped": report.dropped,
+        "counts": {label.display: dist.counts[label] for label in MoodLabel},
+    }
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out(args)
-    corpus, _, corpus_hash = _read_corpus(args.input)
-    outputs: list[str] = []
-
+def cmd_analyze(args, run: RunManifest, out_dir: Path) -> None:
+    corpus, _ = _read_corpus(args.input, run)
     tokens = [tok for rec in corpus for tok in word_tokenize(rec.cleaned)]
     table = freq_dist(tokens)
     ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    freq_path = write_csv(out_dir / "freq.csv", [["token", "count"], *ranked])
-    outputs.append(str(freq_path))
+    run.wrote(write_csv(out_dir / "freq.csv", [["token", "count"], *ranked]))
 
     stats_rows = [
         ["title", "token_count", "unique_count", "type_token_ratio", "lexical_density"]
@@ -243,39 +229,36 @@ def cmd_analyze(args) -> int:
     for rec, stats in zip(corpus, song_stats):
         stats_rows.append([rec.title, stats.token_count, stats.unique_count,
                            repr(stats.type_token_ratio), repr(stats.lexical_density)])
-    stats_path = write_csv(out_dir / "lexical_stats.csv", stats_rows)
-    outputs.append(str(stats_path))
+    run.wrote(write_csv(out_dir / "lexical_stats.csv", stats_rows))
 
     curve = density_curve(corpus, bin_width=args.bin_width, stats=song_stats)
-    chart = emit_plot(
+    run.plotted(emit_plot(
         [("lexical_density", [(float(b), m) for b, m in curve])],
         out_dir / "density_curve.svg",
         "line",
-    )
-    outputs += [str(chart), str(chart.with_suffix(".csv"))]
+    ))
 
     unique_total = len(table.counts)
     print(
         f"{len(corpus)} songs, {table.total} tokens, {unique_total} unique "
         f"(type-token ratio {unique_total / max(table.total, 1):.4f})"
     )
-
-    manifest = RunManifest(
-        command="analyze",
-        argv=args.argv,
-        seed=None,
-        derived_seeds={},
-        config={"bin_width": args.bin_width},
-        inputs={str(args.input): corpus_hash},
-        outputs=outputs,
-        metrics={"tokens": table.total, "unique_tokens": unique_total},
-    )
-    manifest.save(out_dir, started)
-    return 0
+    run.config = {"bin_width": args.bin_width}
+    run.metrics = {"tokens": table.total, "unique_tokens": unique_total}
 
 
-def _transformer_predictions(params, examples) -> list[MoodLabel]:
-    return [MoodLabel(int(i)) for i in classify(params, examples, EVAL_BATCH).argmax(axis=1)]
+def _score(model, split) -> tuple:
+    """The confusion matrix and report of a Naive Bayes model, or of a
+    transformer's (parameters, vocabulary, tokenizer settings), on ``split``."""
+    if isinstance(model, baseline.NaiveBayesModel):
+        preds = [baseline.nb_predict(model, rec.lyrics, cleaned=rec.cleaned)[0]
+                 for rec in split]
+    else:
+        params, vocab, tok_config = model
+        logits = classify(params, encode_corpus(split, vocab, tok_config), EVAL_BATCH)
+        preds = [MoodLabel(int(i)) for i in logits.argmax(axis=1)]
+    matrix = evaluation.confusion(preds, [rec.mood for rec in split])
+    return matrix, evaluation.report(matrix)
 
 
 def _metrics_dict(rep: evaluation.EvalReport) -> dict:
@@ -295,47 +278,34 @@ def _metrics_dict(rep: evaluation.EvalReport) -> dict:
     }
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out(args)
-    corpus, _, corpus_hash = _read_corpus(args.input)
-    seeds = _fan_out_seeds(args.seed)
+def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
+    corpus, _ = _read_corpus(args.input, run)
+    seeds = _fan_out_seeds(args.seed, run)
     settings = _read_settings(args)
     train_split, val_split, test_split = stratified_split(
         corpus, SPLIT_RATIOS, seeds["split"]
     )
-    outputs: list[str] = []
-    metrics: dict = {}
-    config_snapshot: dict = {}
 
     if args.model == "nb":
         alpha = settings[baseline.nb_train].get("alpha", 1.0)
-        nb_model = baseline.nb_train(train_split, alpha=alpha)
-        model_path = baseline.save_nb(nb_model, out_dir / "model.nb")
-        outputs.append(str(model_path))
-        preds = [baseline.nb_predict(nb_model, rec.lyrics, cleaned=rec.cleaned)[0]
-                 for rec in test_split]
-        golds = [rec.mood for rec in test_split]
-        rep = evaluation.report(evaluation.confusion(preds, golds))
-        metrics["test"] = _metrics_dict(rep)
-        config_snapshot = {"model": "nb", "alpha": alpha}
-        print(f"naive bayes: test accuracy {rep.accuracy:.4f}")
+        model = baseline.nb_train(train_split, alpha=alpha)
+        run.wrote(baseline.save_nb(model, out_dir / "model.nb"))
+        run.config = {"model": "nb", "alpha": alpha}
+        summary = "naive bayes:"
     else:
         tok_config = TokenizerConfig(**settings[TokenizerConfig])
         train_config = TrainConfig(seed=seeds["train"], **settings[TrainConfig])
         vocab = train_wordpiece(train_split, tok_config)
-        vocab_path = vocab.save(out_dir / "vocab.txt")
-        outputs.append(str(vocab_path))
+        run.wrote(vocab.save(out_dir / "vocab.txt"))
         model_config = ModelConfig(
             vocab_size=len(vocab),
             max_positions=tok_config.max_sequence_length,
             seed=seeds["init"],
             **settings[ModelConfig],
         )
-        params = init_model(model_config)
         checkpoint_path = out_dir / "checkpoint.ckpt"
         best_params, history = train(
-            params,
+            init_model(model_config),
             train_split,
             val_split,
             vocab,
@@ -344,44 +314,24 @@ def cmd_train(args) -> int:
             checkpoint_path=checkpoint_path,
             log=lambda line: print(line, file=sys.stderr),
         )
-        outputs.append(str(checkpoint_path))
-        history_path = history.save_csv(out_dir / "history.csv")
-        outputs.append(str(history_path))
-        curve = evaluation.accuracy_curve(history, out_dir / "accuracy_curve.svg")
-        outputs += [str(curve), str(curve.with_suffix(".csv"))]
-
-        test_examples = encode_corpus(test_split, vocab, tok_config)
-        preds = _transformer_predictions(best_params, test_examples)
-        rep = evaluation.report(
-            evaluation.confusion(preds, [rec.mood for rec in test_split])
-        )
-        metrics["test"] = _metrics_dict(rep)
-        metrics["best_epoch"] = history.best_epoch
-        metrics["best_val_accuracy"] = history.val_acc[history.best_epoch - 1]
-        config_snapshot = {
+        run.wrote(checkpoint_path, history.save_csv(out_dir / "history.csv"))
+        run.plotted(evaluation.accuracy_curve(history, out_dir / "accuracy_curve.svg"))
+        model = best_params, vocab, tok_config
+        best_val = history.val_acc[history.best_epoch - 1]
+        run.metrics["best_epoch"] = history.best_epoch
+        run.metrics["best_val_accuracy"] = best_val
+        run.config = {
             "model": "bert",
             "tokenizer": asdict(tok_config),
             "model_config": asdict(model_config),
             "train_config": asdict(train_config),
         }
-        print(
-            f"transformer: best epoch {history.best_epoch}, "
-            f"val accuracy {metrics['best_val_accuracy']:.4f}, "
-            f"test accuracy {rep.accuracy:.4f}"
-        )
+        summary = (f"transformer: best epoch {history.best_epoch}, "
+                   f"val accuracy {best_val:.4f},")
 
-    manifest = RunManifest(
-        command="train",
-        argv=args.argv,
-        seed=args.seed,
-        derived_seeds=seeds,
-        config=config_snapshot,
-        inputs={str(args.input): corpus_hash},
-        outputs=outputs,
-        metrics=metrics,
-    )
-    manifest.save(out_dir, started)
-    return 0
+    _, rep = _score(model, test_split)
+    run.metrics["test"] = _metrics_dict(rep)
+    print(f"{summary} test accuracy {rep.accuracy:.4f}")
 
 
 def _load_model(args):
@@ -404,50 +354,26 @@ def _load_model(args):
     return params, vocab, tok_config
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out(args)
-    corpus, _, corpus_hash = _read_corpus(args.input)
-    seeds = _fan_out_seeds(args.seed)
+def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
+    corpus, _ = _read_corpus(args.input, run)
+    seeds = _fan_out_seeds(args.seed, run)
     if args.split == "all":
         chosen = corpus
     else:
         splits = stratified_split(corpus, SPLIT_RATIOS, seeds["split"])
         chosen = splits[("train", "val", "test").index(args.split)]
 
-    model = _load_model(args)
-    if isinstance(model, baseline.NaiveBayesModel):
-        preds = [baseline.nb_predict(model, rec.lyrics, cleaned=rec.cleaned)[0]
-                 for rec in chosen]
-    else:
-        params, vocab, tok_config = model
-        preds = _transformer_predictions(params, encode_corpus(chosen, vocab, tok_config))
-    golds = [rec.mood for rec in chosen]
-
-    matrix = evaluation.confusion(preds, golds)
-    rep = evaluation.report(matrix)
-    outputs: list[str] = []
-    report_bytes = evaluation.format_report(rep).encode("utf-8")
-    report_txt = write_atomic(out_dir / "report.txt", [report_bytes])
-    outputs.append(str(report_txt))
-    outputs.append(str(evaluation.save_report_csv(rep, out_dir / "report.csv")))
-    outputs.append(str(evaluation.save_confusion_csv(matrix, out_dir / "confusion.csv")))
-    heatmap = evaluation.confusion_heatmap(matrix, out_dir / "confusion_heatmap.svg")
-    outputs += [str(heatmap), str(heatmap.with_suffix(".csv"))]
-    print(evaluation.format_report(rep), end="")
-
-    manifest = RunManifest(
-        command="eval",
-        argv=args.argv,
-        seed=args.seed,
-        derived_seeds=seeds,
-        config={"split": args.split, "checkpoint": str(args.checkpoint)},
-        inputs={str(args.input): corpus_hash},
-        outputs=outputs,
-        metrics={args.split: _metrics_dict(rep)},
+    matrix, rep = _score(_load_model(args), chosen)
+    report_text = evaluation.format_report(rep)
+    run.wrote(
+        write_atomic(out_dir / "report.txt", [report_text.encode("utf-8")]),
+        evaluation.save_report_csv(rep, out_dir / "report.csv"),
+        evaluation.save_confusion_csv(matrix, out_dir / "confusion.csv"),
     )
-    manifest.save(out_dir, started)
-    return 0
+    run.plotted(evaluation.confusion_heatmap(matrix, out_dir / "confusion_heatmap.svg"))
+    print(report_text, end="")
+    run.config = {"split": args.split, "checkpoint": str(args.checkpoint)}
+    run.metrics = {args.split: _metrics_dict(rep)}
 
 
 def cmd_predict(args) -> int:
@@ -526,23 +452,30 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_predict.add_mutually_exclusive_group(required=True)
     group.add_argument("--lyrics", help="lyrics text")
     group.add_argument("--file", help="read lyrics from a file")
-    p_predict.set_defaults(func=cmd_predict)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv
     try:
-        return args.func(args)
+        if args.command == "predict":
+            return cmd_predict(args)
+        started = time.perf_counter()
+        out_dir = _resolve_out(args)
+        run = RunManifest(args.command, argv)
+        args.func(args, run, out_dir)
+        run.save(out_dir, started)
+        return 0
     except MoodlyricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -270,8 +270,7 @@ def train(
 
     state = init_adam_state(params)
     history = TrainHistory()
-    best_acc = -1.0
-    best_params = params.copy()
+    best_acc = -1.0  # epochs >= 1, so the first epoch sets best_params
     step = 0
     for epoch in range(1, train_config.epochs + 1):
         perm = shuffle_rng.permutation(n)

@@ -232,12 +232,19 @@ def trained(corpus_csv, tmp_path_factory):
 
 
 class TestEval:
-    def test_matches_train_manifest_metrics(self, corpus_csv, trained, tmp_path):
+    @pytest.mark.parametrize("model", ["nb", "bert"])
+    def test_matches_train_manifest_metrics(self, corpus_csv, trained, nb_model, tmp_path,
+                                            model):
+        model_flags = {
+            "nb": ["--checkpoint", nb_model],
+            "bert": ["--checkpoint", trained / "checkpoint.ckpt",
+                     "--vocab", trained / "vocab.txt"],
+        }[model]
+        train_out = {"nb": nb_model.parent, "bert": trained}[model]
         out = tmp_path / "ev"
-        assert run(["eval", "--checkpoint", trained / "checkpoint.ckpt",
-                    "--vocab", trained / "vocab.txt", "--input", corpus_csv,
+        assert run(["eval", *model_flags, "--input", corpus_csv,
                     "--split", "test", "--out", out, "--seed", 42]) == 0
-        train_metrics = json.loads((trained / "manifest.json").read_text())["metrics"]
+        train_metrics = json.loads((train_out / "manifest.json").read_text())["metrics"]
         eval_metrics = json.loads((out / "manifest.json").read_text())["metrics"]
         assert eval_metrics["test"] == train_metrics["test"]
         for name in ("report.txt", "report.csv", "confusion.csv",
@@ -487,21 +494,29 @@ def test_header_claiming_huge_layer_count_exits_2(trained, tmp_path):
     assert str(bad) in proc.stderr
 
 
-def test_model_too_large_for_memory_exits_2(corpus_csv, tmp_path):
-    """An embedding table of 10**8 columns cannot be allocated; the command
-    runs in a child process capped at 2 GiB of address space, as above."""
-    cap = 2 << 30
+@pytest.mark.parametrize(
+    "settings, cap_mib, message",
+    [(["hidden_size=100000000", "num_heads=1"], 2048, "model does not fit in memory"),
+     (["epochs=1", "hidden_size=2048", "num_heads=1"], 900, "error: out of memory: ")],
+    ids=["embedding-table", "optimizer-state"],
+)
+def test_model_too_large_for_memory_exits_2(corpus_csv, tmp_path, settings, cap_mib,
+                                            message):
+    """An embedding table of 10**8 columns cannot be allocated; a model of
+    50.7M parameters (193 MiB) can, but its optimizer state cannot. The
+    command runs in a child process with its address space capped, as above."""
+    cap = cap_mib << 20
+    sets = [arg for setting in settings for arg in ("--set", setting)]
     proc = subprocess.run(
         [sys.executable, "-m", "moodlyrics.cli", "train", "--input", str(corpus_csv),
-         "--model", "bert", *map(str, BERT_FLAGS), "--set", "hidden_size=100000000",
-         "--set", "num_heads=1", "--out", str(tmp_path / "o")],
+         "--model", "bert", *map(str, BERT_FLAGS), *sets, "--out", str(tmp_path / "o")],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(Path(moodlyrics.__file__).parents[1]),
              "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     assert_one_error_line(proc.returncode, proc.stderr)
-    assert "model does not fit in memory" in proc.stderr
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -610,7 +625,7 @@ class TestManifests:
         present = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert listed == present, (listed, present)
 
-    def test_no_orphan_artifacts(self, corpus_csv, trained, tmp_path):
+    def test_no_orphan_artifacts(self, corpus_csv, trained, nb_model, tmp_path):
         ingest_out = tmp_path / "ing"
         assert run(["ingest", "--input", corpus_csv, "--out", ingest_out]) == 0
         self.manifest_covers_directory(ingest_out)
@@ -620,12 +635,26 @@ class TestManifests:
         self.manifest_covers_directory(analyze_out)
 
         self.manifest_covers_directory(trained)
+        self.manifest_covers_directory(nb_model.parent)
 
         eval_out = tmp_path / "ev"
         assert run(["eval", "--checkpoint", trained / "checkpoint.ckpt",
                     "--vocab", trained / "vocab.txt", "--input", corpus_csv,
                     "--out", eval_out, "--seed", 42]) == 0
         self.manifest_covers_directory(eval_out)
+
+        nb_eval_out = tmp_path / "nb_ev"
+        assert run(["eval", "--checkpoint", nb_model, "--input", corpus_csv,
+                    "--out", nb_eval_out, "--seed", 42]) == 0
+        self.manifest_covers_directory(nb_eval_out)
+
+    def test_failing_command_writes_no_manifest(self, corpus_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["train", "--input", corpus_csv, "--model", "bert",
+                    "--set", "epochs=0", "--out", out])
+        assert_one_error_line(code, capsys.readouterr().err)
+        assert out.is_dir()
+        assert not (out / "manifest.json").exists()
 
 
 class TestPipelineDeterminism:
