@@ -11,6 +11,7 @@ identical input yields identical bytes.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +19,6 @@ from ._atomic import write_atomic, write_csv
 from .corpus import Corpus, SongRecord
 from .errors import AnalyticsError
 from .tokenizer import word_tokenize
-
-PLOT_KINDS = ("line", "bar", "heatmap")
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -110,18 +109,21 @@ def emit_plot(series: list[Series], path: str | Path, kind: str) -> Path:
     transaction: a failure while writing the sidecar leaves the new SVG
     beside the previous sidecar.
     """
-    if kind not in PLOT_KINDS:
-        raise AnalyticsError(f"unknown plot kind {kind!r}, expected one of {PLOT_KINDS}")
+    if kind not in _CHARTS:
+        raise AnalyticsError(f"unknown plot kind {kind!r}, expected one of {tuple(_CHARTS)}")
     if not series or all(len(points) == 0 for _, points in series):
         raise AnalyticsError("cannot plot empty series")
     path = Path(path)
-    if kind == "heatmap":
-        svg = _render_heatmap(series)
-    elif kind == "bar":
-        svg = _render_bar(series)
-    else:
-        svg = _render_line(series)
-    write_atomic(path, [svg.encode("utf-8")])
+    title, body = _CHARTS[kind]
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f"<title>{title}</title>",
+        *body(series),
+        "</svg>",
+    ]
+    write_atomic(path, [("\n".join(parts) + "\n").encode("utf-8")])
     if len(series) > 1:
         rows = [["x", "y", "series"]] + [
             [repr(float(x)), repr(float(y)), name]
@@ -137,7 +139,15 @@ def emit_plot(series: list[Series], path: str | Path, kind: str) -> Path:
 _WIDTH, _HEIGHT, _MARGIN = 640, 400, 60
 
 
-def _ranges(series: list[Series]) -> tuple[float, float, float, float]:
+def _color(series_index: int) -> str:
+    return _PALETTE[series_index % len(_PALETTE)]
+
+
+def _frame(
+    series: list[Series],
+) -> tuple[list[str], Callable[[float, float], tuple[float, float]]]:
+    """The legend and axes of a line or bar chart, and the map from a data
+    point to its pixel position; the y range always takes in 0."""
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
@@ -146,105 +156,66 @@ def _ranges(series: list[Series]) -> tuple[float, float, float, float]:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    return x_lo, x_hi, y_lo, y_hi
 
+    def to_px(x: float, y: float) -> tuple[float, float]:
+        px = _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
+        py = _HEIGHT - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
+        return px, py
 
-def _svg_open(title: str) -> list[str]:
-    return [
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<title>{title}</title>',
-    ]
-
-
-def _legend(names: list[str]) -> list[str]:
     parts = []
-    for i, name in enumerate(names):
-        color = _PALETTE[i % len(_PALETTE)]
+    for i, (name, _) in enumerate(series):
         x = _MARGIN + 140 * i
-        parts.append(f'<rect x="{x}" y="12" width="12" height="12" fill="{color}"/>')
+        parts.append(f'<rect x="{x}" y="12" width="12" height="12" fill="{_color(i)}"/>')
         parts.append(
             f'<text x="{x + 16}" y="22" font-family="sans-serif" '
             f'font-size="12">{name}</text>'
         )
+    left, right = _MARGIN, _WIDTH - _MARGIN
+    top, bottom = _MARGIN, _HEIGHT - _MARGIN
+    parts += [
+        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
+    ] + [
+        f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="11">{_fmt(value)}</text>'
+        for x, y, value in ((left, bottom + 16, x_lo), (right - 30, bottom + 16, x_hi),
+                            (left - 50, bottom, y_lo), (left - 50, top + 10, y_hi))
+    ]
+    return parts, to_px
+
+
+def _line_body(series: list[Series]) -> list[str]:
+    parts, to_px = _frame(series)
+    for i, (_, points) in enumerate(series):
+        coords = " ".join(
+            f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in sorted(points))
+        )
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{_color(i)}" '
+            'stroke-width="1.5"/>'
+        )
     return parts
 
 
-def _axes(x_lo, x_hi, y_lo, y_hi) -> list[str]:
-    left, right = _MARGIN, _WIDTH - _MARGIN
-    top, bottom = _MARGIN, _HEIGHT - _MARGIN
-    return [
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
-        f'<text x="{left}" y="{bottom + 16}" font-family="sans-serif" '
-        f'font-size="11">{_fmt(x_lo)}</text>',
-        f'<text x="{right - 30}" y="{bottom + 16}" font-family="sans-serif" '
-        f'font-size="11">{_fmt(x_hi)}</text>',
-        f'<text x="{left - 50}" y="{bottom}" font-family="sans-serif" '
-        f'font-size="11">{_fmt(y_lo)}</text>',
-        f'<text x="{left - 50}" y="{top + 10}" font-family="sans-serif" '
-        f'font-size="11">{_fmt(y_hi)}</text>',
-    ]
-
-
-def _to_px(x, y, x_lo, x_hi, y_lo, y_hi) -> tuple[float, float]:
-    px = _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
-    py = _HEIGHT - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
-    return px, py
-
-
-def _render_line(series: list[Series]) -> str:
-    x_lo, x_hi, y_lo, y_hi = _ranges(series)
-    parts = _svg_open("line chart")
-    parts += _legend([name for name, _ in series])
-    parts += _axes(x_lo, x_hi, y_lo, y_hi)
-    for i, (name, points) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(
-            f"{_fmt(px)},{_fmt(py)}"
-            for px, py in (
-                _to_px(x, y, x_lo, x_hi, y_lo, y_hi) for x, y in sorted(points)
-            )
-        )
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _render_bar(series: list[Series]) -> str:
-    x_lo, x_hi, y_lo, y_hi = _ranges(series)
-    parts = _svg_open("bar chart")
-    parts += _legend([name for name, _ in series])
-    parts += _axes(x_lo, x_hi, y_lo, y_hi)
-    all_points = [
-        (x, y, i) for i, (_, pts) in enumerate(series) for x, y in pts
-    ]
-    bar_width = (_WIDTH - 2 * _MARGIN) / max(len(all_points), 1) * 0.6
-    baseline = _to_px(0.0, max(y_lo, 0.0), x_lo, x_hi, y_lo, y_hi)[1]
+def _bar_body(series: list[Series]) -> list[str]:
+    parts, to_px = _frame(series)
+    all_points = [(x, y, i) for i, (_, pts) in enumerate(series) for x, y in pts]
+    bar_width = (_WIDTH - 2 * _MARGIN) / len(all_points) * 0.6
+    baseline = to_px(0.0, 0.0)[1]
     for x, y, series_index in all_points:
-        color = _PALETTE[series_index % len(_PALETTE)]
-        px, py = _to_px(x, y, x_lo, x_hi, y_lo, y_hi)
-        top = min(py, baseline)
-        height = abs(baseline - py)
+        px, py = to_px(x, y)
         parts.append(
-            f'<rect x="{_fmt(px - bar_width / 2)}" y="{_fmt(top)}" '
-            f'width="{_fmt(bar_width)}" height="{_fmt(height)}" fill="{color}"/>'
+            f'<rect x="{_fmt(px - bar_width / 2)}" y="{_fmt(min(py, baseline))}" '
+            f'width="{_fmt(bar_width)}" height="{_fmt(abs(baseline - py))}" '
+            f'fill="{_color(series_index)}"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
-def _render_heatmap(series: list[Series]) -> str:
-    parts = _svg_open("heatmap")
-    n_rows = len(series)
-    n_cols = max(len(points) for _, points in series)
-    peak = max((y for _, pts in series for _, y in pts), default=0.0)
-    cell_w = (_WIDTH - 2 * _MARGIN) / max(n_cols, 1)
-    cell_h = (_HEIGHT - 2 * _MARGIN) / max(n_rows, 1)
+def _heatmap_body(series: list[Series]) -> list[str]:
+    parts = []
+    peak = max(y for _, pts in series for _, y in pts)
+    cell_w = (_WIDTH - 2 * _MARGIN) / max(len(points) for _, points in series)
+    cell_h = (_HEIGHT - 2 * _MARGIN) / len(series)
     for row, (name, points) in enumerate(series):
         ry = _MARGIN + row * cell_h
         parts.append(
@@ -253,13 +224,12 @@ def _render_heatmap(series: list[Series]) -> str:
             f'text-anchor="end">{name}</text>'
         )
         for x, value in sorted(points):
-            col = int(x)
             shade = 0.0 if peak == 0 else value / peak
             # white to steel blue
             r = int(255 - shade * (255 - 31))
             g = int(255 - shade * (255 - 119))
             b = int(255 - shade * (255 - 180))
-            cx = _MARGIN + col * cell_w
+            cx = _MARGIN + int(x) * cell_w
             parts.append(
                 f'<rect x="{_fmt(cx)}" y="{_fmt(ry)}" width="{_fmt(cell_w)}" '
                 f'height="{_fmt(cell_h)}" fill="rgb({r},{g},{b})" '
@@ -271,5 +241,12 @@ def _render_heatmap(series: list[Series]) -> str:
                 f'font-family="sans-serif" font-size="12" text-anchor="middle" '
                 f'fill="{text_color}">{_fmt(value)}</text>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
+
+
+# kind -> SVG title, body elements; unknown-kind errors list the keys in order
+_CHARTS = {
+    "line": ("line chart", _line_body),
+    "bar": ("bar chart", _bar_body),
+    "heatmap": ("heatmap", _heatmap_body),
+}

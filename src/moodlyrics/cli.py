@@ -219,19 +219,19 @@ def cmd_analyze(args, run: RunManifest, out_dir: Path) -> None:
     corpus, _ = _read_corpus(args.input, run)
     tokens = [tok for rec in corpus for tok in word_tokenize(rec.cleaned)]
     table = freq_dist(tokens)
+    song_stats = [lexical_stats(rec) for rec in corpus]
+    # every check runs before the first write, so a bad input leaves no artifact
+    curve = density_curve(corpus, bin_width=args.bin_width, stats=song_stats)
+
     ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     run.wrote(write_csv(out_dir / "freq.csv", [["token", "count"], *ranked]))
-
     stats_rows = [
         ["title", "token_count", "unique_count", "type_token_ratio", "lexical_density"]
     ]
-    song_stats = [lexical_stats(rec) for rec in corpus]
     for rec, stats in zip(corpus, song_stats):
         stats_rows.append([rec.title, stats.token_count, stats.unique_count,
                            repr(stats.type_token_ratio), repr(stats.lexical_density)])
     run.wrote(write_csv(out_dir / "lexical_stats.csv", stats_rows))
-
-    curve = density_curve(corpus, bin_width=args.bin_width, stats=song_stats)
     run.plotted(emit_plot(
         [("lexical_density", [(float(b), m) for b, m in curve])],
         out_dir / "density_curve.svg",
@@ -287,25 +287,27 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
     )
 
     if args.model == "nb":
-        alpha = settings[baseline.nb_train].get("alpha", 1.0)
-        model = baseline.nb_train(train_split, alpha=alpha)
+        model = baseline.nb_train(train_split, **settings[baseline.nb_train])
         run.wrote(baseline.save_nb(model, out_dir / "model.nb"))
-        run.config = {"model": "nb", "alpha": alpha}
+        run.config = {"model": "nb", "alpha": model.alpha}
         summary = "naive bayes:"
     else:
         tok_config = TokenizerConfig(**settings[TokenizerConfig])
         train_config = TrainConfig(seed=seeds["train"], **settings[TrainConfig])
         vocab = train_wordpiece(train_split, tok_config)
-        run.wrote(vocab.save(out_dir / "vocab.txt"))
         model_config = ModelConfig(
             vocab_size=len(vocab),
             max_positions=tok_config.max_sequence_length,
             seed=seeds["init"],
             **settings[ModelConfig],
         )
+        # the settings are all checked before the vocabulary replaces the
+        # one an earlier run left in the directory
+        initial = init_model(model_config)
+        run.wrote(vocab.save(out_dir / "vocab.txt"))
         checkpoint_path = out_dir / "checkpoint.ckpt"
         best_params, history = train(
-            init_model(model_config),
+            initial,
             train_split,
             val_split,
             vocab,

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from moodlyrics.analytics import (
@@ -151,3 +153,37 @@ class TestEmitPlot:
             emit_plot([], tmp_path / "x.svg", "line")
         with pytest.raises(AnalyticsError):
             emit_plot([("s", [(1.0, 1.0)])], tmp_path / "x.svg", "pie")
+
+    # SHA-256 of the SVG and of its sidecar CSV, recorded from the renderer
+    # before line, bar and heatmap shared one document frame
+    @pytest.mark.parametrize(
+        "kind, series, svg_digest, csv_digest",
+        [
+            ("line",
+             [("train", [(1.0, 0.25), (2.0, 0.5), (3.0, 0.625)]),
+              ("validation", [(3.0, 0.7), (1.0, 0.3), (2.0, 0.45)])],
+             "94c5b41d86a3762ca9937ac768ac15cd73b1ba68b491d439223efee0d2e68504",
+             "d37749bfe49ce0a89bfd640752ea54c04fffb86b90468f5785a2cf239a5958db"),
+            ("bar",
+             [("Happy", [(0.0, 12.0)]), ("Sad", [(1.0, -3.5)]),
+              ("Romantic", [(2.0, 7.25)]), ("Relaxed", [(3.0, 0.0)])],
+             "72819a7fd3068af6053067e56ecfe55bb9b659fe60fde4a85a197ce469aeecc7",
+             "9f6799ea069785f16db9ec565664c57d30f5baafcbccc269b1d237067e8c2794"),
+            ("heatmap",
+             [("a", [(0.0, 5.0), (1.0, 1.0), (2.0, 0.0)]),
+              ("b", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),
+              ("c", [(0.0, 2.0), (1.0, 3.0), (2.0, 4.0)])],
+             "918970228f1dc4c9d2ff736763598c57d94709165a3ad86fb923e619a87bc120",
+             "91c14f52bdf64c827261b81fab896466fcf4b13aa93e426d9ae9be41a5ad1de1"),
+            ("line",
+             [("s", [(2.0, 5.0)])],
+             "9095ce07bf1e882fff29a9e57395500af1fadb42cd7889f2c298a816d94f18cd",
+             "8fcae12d06258db9a696b225323257469d7a54941d1716e4e3197f5c99c9ee77"),
+        ],
+        ids=["line-two-series", "bar-negative", "heatmap-zero-row", "line-one-point"],
+    )
+    def test_pinned_bytes(self, tmp_path, kind, series, svg_digest, csv_digest):
+        path = emit_plot(series, tmp_path / "chart.svg", kind)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == svg_digest
+        csv_bytes = path.with_suffix(".csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import resource
+import shutil
 import struct
 import subprocess
 import sys
@@ -648,13 +649,34 @@ class TestManifests:
                     "--out", nb_eval_out, "--seed", 42]) == 0
         self.manifest_covers_directory(nb_eval_out)
 
-    def test_failing_command_writes_no_manifest(self, corpus_csv, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--model", "bert", "--set", "epochs=0"],
+            ["analyze", "--bin-width", "0"],
+            ["train", "--model", "bert", "--set", "hidden_size=16", "--set", "num_heads=3"],
+        ],
+        ids=["epochs-0", "bin-width-0", "heads-not-dividing-hidden"],
+    )
+    def test_failing_command_writes_no_manifest(self, corpus_csv, tmp_path, capsys, argv):
         out = tmp_path / "o"
-        code = run(["train", "--input", corpus_csv, "--model", "bert",
-                    "--set", "epochs=0", "--out", out])
+        code = run([*argv, "--input", corpus_csv, "--out", out])
         assert_one_error_line(code, capsys.readouterr().err)
         assert out.is_dir()
-        assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
+
+    def test_rejected_settings_keep_the_earlier_run(self, corpus_csv, trained, tmp_path,
+                                                    capsys):
+        out = tmp_path / "reused"
+        shutil.copytree(trained, out)
+        vocab_before = (out / "vocab.txt").read_bytes()
+        code = run(["train", "--input", corpus_csv, "--model", "bert", "--out", out,
+                    "--set", "vocab_size=60", "--set", "hidden_size=16",
+                    "--set", "num_heads=3"])
+        assert_one_error_line(code, capsys.readouterr().err)
+        assert (out / "vocab.txt").read_bytes() == vocab_before
+        assert run(["predict", "--checkpoint", out / "checkpoint.ckpt",
+                    "--vocab", out / "vocab.txt", "--lyrics", "ভালোবাসা"]) == 0
 
 
 class TestPipelineDeterminism:
