@@ -107,7 +107,9 @@ def emit_plot(series: list[Series], path: str | Path, kind: str) -> Path:
 
     Each of the two files is written atomically, but not both as one
     transaction: a failure while writing the sidecar leaves the new SVG
-    beside the previous sidecar.
+    beside the previous sidecar. That holds for direct calls only; the CLI
+    writes charts into its staging directory, which a failed command
+    removes unpublished.
     """
     if kind not in _CHARTS:
         raise AnalyticsError(f"unknown plot kind {kind!r}, expected one of {tuple(_CHARTS)}")

@@ -1,12 +1,16 @@
 """Command-line pipeline: ingest, analyze, train, eval, predict.
 
-Every command but ``predict`` writes artifacts into an output directory and
-fills in a ``RunManifest``: config snapshot, seeds, input hashes, output
-paths and metrics. ``main`` resolves the directory, times the command and
-writes ``manifest.json`` last, only when the command succeeds. Exit codes:
-0 success, 1 internal error, 2 user/input error or out of memory. All
-randomness fans out from a single ``--seed`` by a fixed derivation.
-``MOODLYRICS_OUT`` overrides the default output directory.
+Every command but ``predict`` writes artifacts and fills in a
+``RunManifest``: config snapshot, seeds, input hashes and metrics. ``main``
+is the one commit point: it resolves the output directory, runs the command
+against a hidden ``.partial-*`` staging directory inside it, and only when
+the command succeeds renames every staged file into place, records them as
+the manifest's outputs (sorted by name) and writes ``manifest.json`` last.
+A failed command removes the staging directory and leaves the output
+directory as it was. Exit codes: 0 success, 1 internal error, 2 user/input
+error or out of memory. All randomness fans out from a single ``--seed`` by
+a fixed derivation. ``MOODLYRICS_OUT`` overrides the default output
+directory.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields
@@ -72,13 +77,6 @@ class RunManifest:
     metrics: dict = field(default_factory=dict)
     duration_seconds: float = 0.0
 
-    def wrote(self, *paths: Path) -> None:
-        self.outputs += map(str, paths)
-
-    def plotted(self, chart: Path) -> None:
-        """An SVG chart and its CSV sidecar."""
-        self.wrote(chart, chart.with_suffix(".csv"))
-
     def save(self, out_dir: Path, started: float) -> Path:
         self.duration_seconds = time.perf_counter() - started
         text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -106,14 +104,18 @@ def _fan_out_seeds(seed: int, run: RunManifest) -> dict[str, int]:
     return run.derived_seeds
 
 
-def _resolve_out(args) -> Path:
+def _resolve_out(args) -> tuple[Path, tempfile.TemporaryDirectory]:
+    """The output directory, made if missing, and a hidden staging directory
+    inside it, on the same filesystem so that publishing is a rename."""
     out = args.out or os.environ.get("MOODLYRICS_OUT") or "moodlyrics_out"
     out_dir = Path(out)
+    verb = "create"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        verb = "write to"
+        return out_dir, tempfile.TemporaryDirectory(prefix=".partial-", dir=out_dir)
     except OSError as exc:
-        raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from None
-    return out_dir
+        raise UsageError(f"cannot {verb} output directory {out}: {exc.strerror}") from None
 
 
 # each key a config file or --set may give, with what takes it and its type;
@@ -195,14 +197,14 @@ def cmd_ingest(args, run: RunManifest, out_dir: Path) -> None:
     else:
         raise UsageError("ingest needs --input or --synthetic")
 
-    run.wrote(save_corpus(corpus, out_dir / "corpus.csv"))
+    save_corpus(corpus, out_dir / "corpus.csv")
     drop_lines = report.lines()
     for line in drop_lines:
         print(line, file=sys.stderr)
     drops_text = "\n".join(drop_lines) + "\n"
-    run.wrote(write_atomic(out_dir / "drops.log", [drops_text.encode("utf-8")]))
+    write_atomic(out_dir / "drops.log", [drops_text.encode("utf-8")])
     dist = mood_distribution(corpus)
-    run.plotted(emit_plot(_mood_bar_series(dist), out_dir / "mood_distribution.svg", "bar"))
+    emit_plot(_mood_bar_series(dist), out_dir / "mood_distribution.svg", "bar")
 
     print(f"{len(corpus)} records from {corpus.provenance}")
     for label in MoodLabel:
@@ -220,23 +222,22 @@ def cmd_analyze(args, run: RunManifest, out_dir: Path) -> None:
     tokens = [tok for rec in corpus for tok in word_tokenize(rec.cleaned)]
     table = freq_dist(tokens)
     song_stats = [lexical_stats(rec) for rec in corpus]
-    # every check runs before the first write, so a bad input leaves no artifact
-    curve = density_curve(corpus, bin_width=args.bin_width, stats=song_stats)
 
     ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    run.wrote(write_csv(out_dir / "freq.csv", [["token", "count"], *ranked]))
+    write_csv(out_dir / "freq.csv", [["token", "count"], *ranked])
     stats_rows = [
         ["title", "token_count", "unique_count", "type_token_ratio", "lexical_density"]
     ]
     for rec, stats in zip(corpus, song_stats):
         stats_rows.append([rec.title, stats.token_count, stats.unique_count,
                            repr(stats.type_token_ratio), repr(stats.lexical_density)])
-    run.wrote(write_csv(out_dir / "lexical_stats.csv", stats_rows))
-    run.plotted(emit_plot(
+    write_csv(out_dir / "lexical_stats.csv", stats_rows)
+    curve = density_curve(corpus, bin_width=args.bin_width, stats=song_stats)
+    emit_plot(
         [("lexical_density", [(float(b), m) for b, m in curve])],
         out_dir / "density_curve.svg",
         "line",
-    ))
+    )
 
     unique_total = len(table.counts)
     print(
@@ -288,36 +289,32 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
 
     if args.model == "nb":
         model = baseline.nb_train(train_split, **settings[baseline.nb_train])
-        run.wrote(baseline.save_nb(model, out_dir / "model.nb"))
+        baseline.save_nb(model, out_dir / "model.nb")
         run.config = {"model": "nb", "alpha": model.alpha}
         summary = "naive bayes:"
     else:
         tok_config = TokenizerConfig(**settings[TokenizerConfig])
         train_config = TrainConfig(seed=seeds["train"], **settings[TrainConfig])
         vocab = train_wordpiece(train_split, tok_config)
+        vocab.save(out_dir / "vocab.txt")
         model_config = ModelConfig(
             vocab_size=len(vocab),
             max_positions=tok_config.max_sequence_length,
             seed=seeds["init"],
             **settings[ModelConfig],
         )
-        # the settings are all checked before the vocabulary replaces the
-        # one an earlier run left in the directory
-        initial = init_model(model_config)
-        run.wrote(vocab.save(out_dir / "vocab.txt"))
-        checkpoint_path = out_dir / "checkpoint.ckpt"
         best_params, history = train(
-            initial,
+            init_model(model_config),
             train_split,
             val_split,
             vocab,
             tok_config,
             train_config,
-            checkpoint_path=checkpoint_path,
+            checkpoint_path=out_dir / "checkpoint.ckpt",
             log=lambda line: print(line, file=sys.stderr),
         )
-        run.wrote(checkpoint_path, history.save_csv(out_dir / "history.csv"))
-        run.plotted(evaluation.accuracy_curve(history, out_dir / "accuracy_curve.svg"))
+        history.save_csv(out_dir / "history.csv")
+        evaluation.accuracy_curve(history, out_dir / "accuracy_curve.svg")
         model = best_params, vocab, tok_config
         best_val = history.val_acc[history.best_epoch - 1]
         run.metrics["best_epoch"] = history.best_epoch
@@ -367,12 +364,10 @@ def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
 
     matrix, rep = _score(_load_model(args), chosen)
     report_text = evaluation.format_report(rep)
-    run.wrote(
-        write_atomic(out_dir / "report.txt", [report_text.encode("utf-8")]),
-        evaluation.save_report_csv(rep, out_dir / "report.csv"),
-        evaluation.save_confusion_csv(matrix, out_dir / "confusion.csv"),
-    )
-    run.plotted(evaluation.confusion_heatmap(matrix, out_dir / "confusion_heatmap.svg"))
+    write_atomic(out_dir / "report.txt", [report_text.encode("utf-8")])
+    evaluation.save_report_csv(rep, out_dir / "report.csv")
+    evaluation.save_confusion_csv(matrix, out_dir / "confusion.csv")
+    evaluation.confusion_heatmap(matrix, out_dir / "confusion_heatmap.svg")
     print(report_text, end="")
     run.config = {"split": args.split, "checkpoint": str(args.checkpoint)}
     run.metrics = {args.split: _metrics_dict(rep)}
@@ -464,9 +459,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "predict":
             return cmd_predict(args)
         started = time.perf_counter()
-        out_dir = _resolve_out(args)
+        out_dir, staging = _resolve_out(args)
         run = RunManifest(args.command, argv)
-        args.func(args, run, out_dir)
+        # the commit point: the command writes into staging, which is renamed
+        # into place only when it succeeds; a failure removes it unpublished
+        with staging as staged:
+            args.func(args, run, Path(staged))
+            for name in sorted(os.listdir(staged)):
+                os.replace(os.path.join(staged, name), out_dir / name)
+                run.outputs.append(str(out_dir / name))
         run.save(out_dir, started)
         return 0
     except MoodlyricsError as exc:

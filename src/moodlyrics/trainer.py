@@ -148,12 +148,12 @@ def adamw_step(
     state: AdamState,
     lr: float,
     config: TrainConfig,
-) -> tuple[Parameters, AdamState]:
+) -> None:
     """One AdamW update, in place, of every group ``state`` packed from
-    ``params``. Weight decay is decoupled from the moments; layer-norm
-    parameters and biases are exempt. Gradients that are not
-    ``state.grads`` are copied into the group buffers first. A non-finite
-    gradient raises before any parameter changes."""
+    ``params``; it returns nothing. Weight decay is decoupled from the
+    moments; layer-norm parameters and biases are exempt. Gradients that
+    are not ``state.grads`` are copied into the group buffers first. A
+    non-finite gradient raises before any parameter changes."""
     state.step += 1
     bias_c1 = 1.0 - config.beta1**state.step
     bias_c2 = 1.0 - config.beta2**state.step
@@ -170,7 +170,6 @@ def adamw_step(
             config.weight_decay if group.decayed else 0.0,
             bias_c1, bias_c2, group.scratch,
         )
-    return params, state
 
 
 def linear_schedule(step: int, total_steps: int, base_lr: float) -> float:
@@ -185,11 +184,17 @@ def linear_schedule(step: int, total_steps: int, base_lr: float) -> float:
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all arrays by max_norm/norm when the global L2 norm exceeds
     max_norm; otherwise leave them untouched. In place. Returns the norm
-    before clipping, summed in float64 array by array."""
+    before clipping, summed in float64 array by array. Finite gradients whose
+    squares overflow float64 are summed again scaled by the largest
+    magnitude, so they are clipped rather than zeroed."""
     total = 0.0
     for grad in grads.values():
         total += float(np.sum(np.square(grad, dtype=np.float64)))
     norm = math.sqrt(total)
+    if math.isinf(norm) and all(np.isfinite(grad).all() for grad in grads.values()):
+        peak = max(float(np.abs(grad).max(initial=0.0)) for grad in grads.values())
+        # every scaled entry is at most 1 in magnitude, so this sum is finite
+        norm = peak * clip_grad_norm({k: g / peak for k, g in grads.items()}, math.inf)
     if norm > max_norm:
         scale = max_norm / norm
         for grad in grads.values():
@@ -251,7 +256,11 @@ def train(
 
     Shuffles per epoch, steps the schedule once per batch, clips before
     every update, and writes a checkpoint whenever validation accuracy
-    strictly improves. ``log`` is an optional callable taking one line.
+    strictly improves. The steps and each epoch's evaluation run with numpy
+    overflow, invalid and divide-by-zero raising, so a run that diverges
+    stops with one ``TrainerError`` naming the epoch, the step (counted
+    from 0), its learning rate and the operation that failed; underflow is
+    ignored. ``log`` is an optional callable taking one line.
     ``params`` is trained in place: its arrays are rebound to views of the
     optimizer's packed buffers (see ``init_adam_state``).
     """
@@ -259,14 +268,10 @@ def train(
     val_examples = encode_corpus(val_corpus, vocab, tokenizer_config)
     if not train_examples or not val_examples:
         raise TrainerError("train and validation splits must be nonempty")
-    n = len(train_examples)
-    batches_per_epoch = math.ceil(n / train_config.batch_size)
-    total_steps = train_config.epochs * batches_per_epoch
-
-    root = np.random.SeedSequence(train_config.seed)
-    shuffle_seq, dropout_seq = root.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_seq)
-    dropout_rng = np.random.default_rng(dropout_seq)
+    n, batch_size = len(train_examples), train_config.batch_size
+    total_steps = train_config.epochs * math.ceil(n / batch_size)
+    seeds = np.random.SeedSequence(train_config.seed).spawn(2)
+    shuffle_rng, dropout_rng = map(np.random.default_rng, seeds)
 
     state = init_adam_state(params)
     history = TrainHistory()
@@ -274,24 +279,23 @@ def train(
     step = 0
     for epoch in range(1, train_config.epochs + 1):
         perm = shuffle_rng.permutation(n)
-        for start in range(0, n, train_config.batch_size):
-            batch = [train_examples[j] for j in perm[start : start + train_config.batch_size]]
-            labels = np.array([ex.label for ex in batch], dtype=np.int64)
-            trace = forward(params, batch, mode="train", rng=dropout_rng)
-            loss = cross_entropy(trace.logits, labels, train_config.class_weights)
-            if not math.isfinite(loss):
-                raise TrainerError(
-                    f"non-finite loss {loss} at epoch {epoch}, step {step} "
-                    f"(lr {linear_schedule(step, total_steps, train_config.learning_rate):.3g})"
-                )
-            grads = backward(params, trace, labels, train_config.class_weights,
-                             out=state.zero_grads())
-            clip_grad_norm(grads, train_config.max_grad_norm)
-            lr = linear_schedule(step, total_steps, train_config.learning_rate)
-            adamw_step(params, grads, state, lr, train_config)
-            step += 1
-        train_loss, train_acc = evaluate(params, train_examples, train_config.batch_size)
-        val_loss, val_acc = evaluate(params, val_examples, train_config.batch_size)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for start in range(0, n, batch_size):
+                    lr = linear_schedule(step, total_steps, train_config.learning_rate)
+                    batch = [train_examples[j] for j in perm[start : start + batch_size]]
+                    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+                    trace = forward(params, batch, mode="train", rng=dropout_rng)
+                    grads = backward(params, trace, labels, train_config.class_weights,
+                                     out=state.zero_grads())
+                    clip_grad_norm(grads, train_config.max_grad_norm)
+                    adamw_step(params, grads, state, lr, train_config)
+                    step += 1
+                train_loss, train_acc = evaluate(params, train_examples, batch_size)
+                val_loss, val_acc = evaluate(params, val_examples, batch_size)
+        except FloatingPointError as exc:
+            raise TrainerError(f"training diverged at epoch {epoch}, step {step} "
+                               f"(lr {lr:.3g}): {exc}") from None
         history.train_loss.append(train_loss)
         history.train_acc.append(train_acc)
         history.val_loss.append(val_loss)

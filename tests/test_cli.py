@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -9,9 +10,11 @@ import os
 import re
 import resource
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -347,6 +350,26 @@ def assert_one_error_line(code, err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def directory_bytes(directory):
+    """Each entry of ``directory`` by name: a file's bytes, or None for a
+    subdirectory."""
+    return {path.name: path.read_bytes() if path.is_file() else None
+            for path in directory.iterdir()}
+
+
+def cli_child(argv, cap_mib=None, **popen_kwargs):
+    """``python -m moodlyrics.cli`` in a child process, with its address space
+    capped at ``cap_mib`` MiB when given."""
+    cap = None if cap_mib is None else cap_mib << 20
+    return subprocess.Popen(
+        [sys.executable, "-m", "moodlyrics.cli", *map(str, argv)], text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(moodlyrics.__file__).parents[1]),
+             "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap and (lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))),
+        **popen_kwargs,
+    )
+
+
 @pytest.mark.parametrize(
     "which",
     ["ingest", "analyze", "checkpoint", "config", "predict-vocab", "eval-vocab", "lyrics"],
@@ -665,18 +688,65 @@ class TestManifests:
         assert out.is_dir()
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("failure", ["rejected-setting", "diverged", "out-of-memory",
+                                         "killed"])
     def test_rejected_settings_keep_the_earlier_run(self, corpus_csv, trained, tmp_path,
-                                                    capsys):
+                                                    capsys, failure):
+        """A train run into an earlier run's directory that fails at any point
+        leaves every file as it was. Each failing run asks for another
+        vocabulary size, so a vocabulary written into place would differ."""
         out = tmp_path / "reused"
         shutil.copytree(trained, out)
-        vocab_before = (out / "vocab.txt").read_bytes()
-        code = run(["train", "--input", corpus_csv, "--model", "bert", "--out", out,
-                    "--set", "vocab_size=60", "--set", "hidden_size=16",
-                    "--set", "num_heads=3"])
-        assert_one_error_line(code, capsys.readouterr().err)
-        assert (out / "vocab.txt").read_bytes() == vocab_before
+        before = directory_bytes(out)
+        argv = ["train", "--input", corpus_csv, "--model", "bert", "--out", out]
+        if failure == "rejected-setting":
+            code = run([*argv, "--set", "vocab_size=60", "--set", "hidden_size=16",
+                        "--set", "num_heads=3"])
+            assert_one_error_line(code, capsys.readouterr().err)
+        elif failure == "diverged":
+            code = run([*argv, *BERT_FLAGS, "--set", "learning_rate=1e6",
+                        "--set", "max_grad_norm=1e30", "--set", "vocab_size=80"])
+            err = capsys.readouterr().err
+            assert_one_error_line(code, err)
+            assert re.match(r"error: training diverged at epoch 1, step \d+ \(lr [0-9.e+]+\): ",
+                            err), err
+        elif failure == "out-of-memory":
+            # 50.7M parameters fit under the cap; their optimizer state does not
+            proc = cli_child([*argv, *BERT_FLAGS, "--set", "epochs=1", "--set", "vocab_size=60",
+                              "--set", "hidden_size=2048", "--set", "num_heads=1"],
+                             cap_mib=900, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=300)
+            assert_one_error_line(proc.returncode, err)
+            assert err.startswith("error: out of memory: "), err
+        else:
+            # killed once the first epoch's checkpoint is in staging
+            with cli_child([*argv, *BERT_FLAGS, "--set", "epochs=100", "--set", "vocab_size=80"],
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+                for line in proc.stderr:
+                    if line.startswith("epoch 1/"):
+                        break
+                proc.kill()
+            assert proc.wait() == -signal.SIGKILL
+        after = directory_bytes(out)
+        staged = [name for name in after if name.startswith(".partial-")]
+        assert len(staged) <= (failure == "killed"), staged
+        for name in staged:
+            del after[name]
+        assert after == before
         assert run(["predict", "--checkpoint", out / "checkpoint.ckpt",
                     "--vocab", out / "vocab.txt", "--lyrics", "ভালোবাসা"]) == 0
+
+    def test_staging_that_cannot_be_made_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        out = tmp_path / "o"
+        code = run(["ingest", "--synthetic", "seed=1,per_class=2", "--out", out])
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: cannot write to output directory {out}: Permission denied\n"
+        assert list(out.iterdir()) == []
 
 
 class TestPipelineDeterminism:

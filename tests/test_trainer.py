@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +195,15 @@ class TestClipGradNorm:
             assert isinstance(norm, float)
             assert norm == pytest.approx(brute, rel=1e-12)
 
+    def test_finite_gradients_whose_squares_overflow_are_clipped(self):
+        grads = {"w": np.array([1e200, 1.0]), "b": np.array([3.0])}
+        with np.errstate(over="ignore"):
+            norm = clip_grad_norm(grads, 1.0)
+        assert norm == pytest.approx(1e200, rel=1e-12)
+        assert grads["w"][0] == pytest.approx(1.0, rel=1e-12)
+        assert grads["w"][1] == pytest.approx(1e-200, rel=1e-12)
+        assert grads["b"][0] == pytest.approx(3e-200, rel=1e-12)
+
 
 class TestHistory:
     def test_best_epoch_first_max(self):
@@ -286,13 +297,22 @@ class TestTrain:
         assert history.val_acc == [0.50, 0.63, 0.61]
         assert history.best_epoch == 2
 
-    def test_non_finite_loss_aborts_with_diagnostic(self, monkeypatch):
-        corpus, tok_config, vocab, params, config = small_training_setup(epochs=1)
-        monkeypatch.setattr(
-            trainer_module, "cross_entropy", lambda *args, **kwargs: float("nan")
+    def test_divergence_aborts_with_diagnostic(self, tmp_path):
+        """A learning rate of 1e6 with clipping off: the first update (step
+        0) moves every weight by about 1e6, and the second step overflows.
+        The run stops with one error naming the epoch, the step and its lr,
+        before any checkpoint is written."""
+        corpus, tok_config, vocab, params, config = small_training_setup(
+            epochs=2, max_grad_norm=1e30
         )
-        with pytest.raises(TrainerError, match="non-finite loss"):
-            train(params, corpus, corpus, vocab, tok_config, config)
+        config = dataclasses.replace(config, learning_rate=1e6)
+        with pytest.raises(TrainerError) as caught:
+            train(params, corpus, corpus, vocab, tok_config, config,
+                  checkpoint_path=tmp_path / "m.ckpt")
+        message = str(caught.value)
+        assert re.fullmatch(r"training diverged at epoch 1, step 1 \(lr 8\.33e\+05\): "
+                            r"\w+( \w+)* encountered in \w+", message), message
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_backward_out_gives_same_bytes(self, monkeypatch, tmp_path):
         """Gradients written into the optimizer's buffers and gradients in a
