@@ -1,6 +1,6 @@
 """Fine-tuning loop: AdamW with decoupled weight decay, per-batch linear
-learning-rate decay without warmup, global-norm gradient clipping, and
-best-validation checkpointing.
+learning-rate decay without warmup, global-norm gradient clipping, and one
+checkpoint of the best-validation epoch, written after training.
 
 Epoch metrics are computed over the whole split in eval mode, so the
 accuracy curves are well-defined. All randomness (shuffling, dropout)
@@ -142,24 +142,15 @@ def init_adam_state(params: Parameters) -> AdamState:
     return AdamState(groups, {name: grad_views[name] for name in params.arrays})
 
 
-def adamw_step(
-    params: Parameters,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    config: TrainConfig,
-) -> None:
-    """One AdamW update, in place, of every group ``state`` packed from
-    ``params``; it returns nothing. Weight decay is decoupled from the
-    moments; layer-norm parameters and biases are exempt. Gradients that
-    are not ``state.grads`` are copied into the group buffers first. A
-    non-finite gradient raises before any parameter changes."""
+def adamw_step(state: AdamState, lr: float, config: TrainConfig) -> None:
+    """One AdamW update, in place, of every group in ``state`` from the
+    gradients in ``state.grads``; it returns nothing. Weight decay is
+    decoupled from the moments; layer-norm parameters and biases are exempt.
+    A non-finite gradient raises, naming the first such array in parameter
+    order, before any parameter changes."""
     state.step += 1
     bias_c1 = 1.0 - config.beta1**state.step
     bias_c2 = 1.0 - config.beta2**state.step
-    if grads is not state.grads:
-        for group in state.groups:
-            np.concatenate([grads[name].ravel() for name in group.names], out=group.grad)
     if not all(np.isfinite(group.grad).all() for group in state.groups):
         bad = next(name for name, grad in state.grads.items() if not np.isfinite(grad).all())
         raise TrainerError(f"non-finite gradient for {bad} at step {state.step}")
@@ -221,15 +212,6 @@ class TrainHistory:
         return write_csv(path, [HISTORY_HEADER, *rows])
 
 
-def best_epoch_index(val_accuracies: list[float]) -> int:
-    """1-indexed epoch with the highest validation accuracy; first
-    occurrence wins ties."""
-    if not val_accuracies:
-        raise TrainerError("no validation accuracies recorded")
-    best = max(val_accuracies)
-    return val_accuracies.index(best) + 1
-
-
 def evaluate(
     params: Parameters, examples: list[EncodedExample], batch_size: int
 ) -> tuple[float, float]:
@@ -254,13 +236,16 @@ def train(
 ) -> tuple[Parameters, TrainHistory]:
     """Run the full fine-tuning recipe and return the best parameters.
 
-    Shuffles per epoch, steps the schedule once per batch, clips before
-    every update, and writes a checkpoint whenever validation accuracy
-    strictly improves. The steps and each epoch's evaluation run with numpy
-    overflow, invalid and divide-by-zero raising, so a run that diverges
-    stops with one ``TrainerError`` naming the epoch, the step (counted
-    from 0), its learning rate and the operation that failed; underflow is
-    ignored. ``log`` is an optional callable taking one line.
+    Shuffles per epoch, steps the schedule once per batch and clips before
+    every update. The best epoch is the first with the highest validation
+    accuracy; its parameters are returned and, when ``checkpoint_path`` is
+    given, written there once after the last epoch, so a run that raises
+    writes no checkpoint. The steps and each epoch's evaluation run with
+    numpy overflow, invalid and divide-by-zero raising, so a run that
+    diverges stops with one ``TrainerError`` naming the epoch, where it
+    failed (the step, counted from 0, or the evaluation after the epoch's
+    last step), that step's learning rate and the operation that failed;
+    underflow is ignored. ``log`` is an optional callable taking one line.
     ``params`` is trained in place: its arrays are rebound to views of the
     optimizer's packed buffers (see ``init_adam_state``).
     """
@@ -275,43 +260,41 @@ def train(
 
     state = init_adam_state(params)
     history = TrainHistory()
-    best_acc = -1.0  # epochs >= 1, so the first epoch sets best_params
     step = 0
     for epoch in range(1, train_config.epochs + 1):
         perm = shuffle_rng.permutation(n)
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for start in range(0, n, batch_size):
+                    where = f", step {step}"
                     lr = linear_schedule(step, total_steps, train_config.learning_rate)
                     batch = [train_examples[j] for j in perm[start : start + batch_size]]
                     labels = np.array([ex.label for ex in batch], dtype=np.int64)
                     trace = forward(params, batch, mode="train", rng=dropout_rng)
-                    grads = backward(params, trace, labels, train_config.class_weights,
-                                     out=state.zero_grads())
-                    clip_grad_norm(grads, train_config.max_grad_norm)
-                    adamw_step(params, grads, state, lr, train_config)
+                    backward(params, trace, labels, train_config.class_weights,
+                             out=state.zero_grads())
+                    clip_grad_norm(state.grads, train_config.max_grad_norm)
+                    adamw_step(state, lr, train_config)
                     step += 1
+                where = f" in evaluation after step {step - 1}"
                 train_loss, train_acc = evaluate(params, train_examples, batch_size)
                 val_loss, val_acc = evaluate(params, val_examples, batch_size)
         except FloatingPointError as exc:
-            raise TrainerError(f"training diverged at epoch {epoch}, step {step} "
+            raise TrainerError(f"training diverged at epoch {epoch}{where} "
                                f"(lr {lr:.3g}): {exc}") from None
+        # strict, so the first epoch with the highest accuracy wins ties
+        if val_acc > max(history.val_acc, default=-math.inf):
+            history.best_epoch, best_params = epoch, params.copy()
         history.train_loss.append(train_loss)
         history.train_acc.append(train_acc)
         history.val_loss.append(val_loss)
         history.val_acc.append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_params = params.copy()
-            if checkpoint_path is not None:
-                save_checkpoint(
-                    checkpoint_path, best_params, vocab.sha256(), tokenizer_config
-                )
         if log is not None:
             log(
                 f"epoch {epoch}/{train_config.epochs} "
                 f"train_loss={train_loss:.4f} train_acc={train_acc:.4f} "
                 f"val_loss={val_loss:.4f} val_acc={val_acc:.4f}"
             )
-    history.best_epoch = best_epoch_index(history.val_acc)
+    if checkpoint_path is not None:
+        save_checkpoint(checkpoint_path, best_params, vocab.sha256(), tokenizer_config)
     return best_params, history

@@ -48,7 +48,7 @@ class TrainHistory(trainer.TrainHistory):
                 history.val_loss.append(float(row[3]))
                 history.val_acc.append(float(row[4]))
         if history.val_acc:
-            history.best_epoch = trainer.best_epoch_index(history.val_acc)
+            history.best_epoch = history.val_acc.index(max(history.val_acc)) + 1
         return history
 
 

@@ -41,7 +41,6 @@ from moodlyrics.tokenizer import (
 from moodlyrics.trainer import (
     TrainConfig,
     adamw_step,
-    best_epoch_index,
     clip_grad_norm,
     evaluate,
     init_adam_state,
@@ -216,8 +215,8 @@ def test_6_optimizer_and_schedule():
                              hidden_size=8, num_heads=2)
         params = Parameters(config, {"w": np.zeros(4)})
         state = init_adam_state(params)
-        adamw_step(params, {"w": np.ones(4)}, state, lr=0.1,
-                   config=TrainConfig(weight_decay=0.0))
+        state.grads["w"][:] = 1.0
+        adamw_step(state, lr=0.1, config=TrainConfig(weight_decay=0.0))
         assert np.abs(params["w"] + 0.1).max() <= 1e-6
 
         rng = np.random.default_rng(31)
@@ -303,7 +302,6 @@ def test_9_best_checkpoint_rule(tmp_path, monkeypatch):
             )
         assert history.val_acc == [0.50, 0.63, 0.61]
         assert history.best_epoch == 2
-        assert best_epoch_index([0.50, 0.63, 0.61]) == 2
 
         # a real run's best checkpoint reproduces its recorded metric exactly
         ckpt = tmp_path / "best.ckpt"

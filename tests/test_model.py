@@ -22,6 +22,7 @@ from moodlyrics.model import (
     softmax_cross_entropy,
 )
 from moodlyrics.tokenizer import TokenizerConfig, encode
+from moodlyrics.trainer import init_adam_state
 
 from helpers import gradient_check
 from oracles import full_encoder_logits
@@ -489,6 +490,30 @@ class TestBackward:
         grads2 = backward(tiny_params, trace2, labels2)
         for name in grads:
             assert np.allclose(grads[name], grads2[name], atol=1e-12), name
+
+    @pytest.mark.parametrize("class_weights", [None, (1.0, 2.0, 0.5, 1.5)],
+                             ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_adds_into_zeroed_buffers_same_bytes(
+        self, synth32, vocab32, tok_config, dtype, class_weights
+    ):
+        """Gradients added into the optimizer's zeroed packed buffers equal
+        a fresh ``backward``'s, array by array."""
+        config = ModelConfig(vocab_size=len(vocab32), max_positions=32, num_layers=2,
+                             hidden_size=8, num_heads=2, ffn_size=16,
+                             dropout_rate=0.1, seed=5)
+        params = init_model(config, dtype=dtype)
+        state = init_adam_state(params)
+        for group in state.groups:
+            group.grad.fill(1.0)  # zero_grads must clear what a step left
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)
+        labels = np.array([int(ex.label) for ex in batch])
+        trace = forward(params, batch, mode="train", rng=np.random.default_rng(9))
+        fresh = backward(params, trace, labels, class_weights)
+        into = backward(params, trace, labels, class_weights, out=state.zero_grads())
+        assert into is state.grads and list(into) == list(fresh)
+        for name, grad in fresh.items():
+            assert grad.dtype == dtype and np.array_equal(into[name], grad), name
 
 
 class TestPredict:

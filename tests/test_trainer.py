@@ -13,7 +13,6 @@ from moodlyrics.tokenizer import TokenizerConfig, encode_corpus, train_wordpiece
 from moodlyrics.trainer import (
     TrainConfig,
     adamw_step,
-    best_epoch_index,
     clip_grad_norm,
     evaluate,
     init_adam_state,
@@ -36,15 +35,15 @@ class TestAdamW:
     def test_first_step_hand_example(self):
         # m-hat = v-hat = 1 after bias correction, so theta -> -lr
         params, state = single_param([0.0, 0.0, 0.0])
-        grads = {"w": np.ones(3)}
+        state.grads["w"][:] = 1.0
         config = TrainConfig(learning_rate=0.1, weight_decay=0.0)
-        adamw_step(params, grads, state, lr=0.1, config=config)
+        adamw_step(state, lr=0.1, config=config)
         assert np.allclose(params["w"], -0.1, atol=1e-6)
 
     def test_zero_gradient_is_fixed_point(self):
         params, state = single_param([1.5, -2.0])
         config = TrainConfig(weight_decay=0.0)
-        adamw_step(params, {"w": np.zeros(2)}, state, lr=0.1, config=config)
+        adamw_step(state, lr=0.1, config=config)
         assert np.array_equal(params["w"], np.array([1.5, -2.0]))
 
     def test_decoupled_decay_shrinks_weights(self):
@@ -52,7 +51,7 @@ class TestAdamW:
         params = Parameters(TINY_MODEL, {"w": np.full((2, 2), 3.0)})
         state = init_adam_state(params)
         config = TrainConfig(weight_decay=0.1)
-        adamw_step(params, {"w": np.zeros((2, 2))}, state, lr=0.5, config=config)
+        adamw_step(state, lr=0.5, config=config)
         assert (params["w"] < 3.0).all() and (params["w"] > 0.0).all()
         assert np.allclose(params["w"], 3.0 - 0.5 * 0.1 * 3.0)
 
@@ -60,16 +59,15 @@ class TestAdamW:
         # 1-D arrays (biases, layer-norm) are never decayed
         params_a, state_a = single_param([2.0, 2.0], name="b")
         params_b, state_b = single_param([2.0, 2.0], name="b")
-        adamw_step(params_a, {"b": np.zeros(2)}, state_a, 0.1,
-                   TrainConfig(weight_decay=0.0))
-        adamw_step(params_b, {"b": np.zeros(2)}, state_b, 0.1,
-                   TrainConfig(weight_decay=0.5))
+        adamw_step(state_a, 0.1, TrainConfig(weight_decay=0.0))
+        adamw_step(state_b, 0.1, TrainConfig(weight_decay=0.5))
         assert np.array_equal(params_a["b"], params_b["b"])
 
     def test_non_finite_gradient_rejected(self):
-        params, state = single_param([0.0])
+        _, state = single_param([0.0])
+        state.grads["w"][0] = np.nan
         with pytest.raises(TrainerError, match="non-finite"):
-            adamw_step(params, {"w": np.array([np.nan])}, state, 0.1, TrainConfig())
+            adamw_step(state, 0.1, TrainConfig())
 
     def test_non_finite_gradient_names_first_array_and_changes_nothing(self):
         # b (exempt) comes before w2 in parameter order, after it in group order
@@ -77,12 +75,12 @@ class TestAdamW:
         params = Parameters(TINY_MODEL, arrays)
         state = init_adam_state(params)
         before = params.copy()
-        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        grads = state.grads
         grads["w1"][:] = 1.0
         grads["b"][1] = np.inf
         grads["w2"][0, 0] = np.nan
         with pytest.raises(TrainerError, match="non-finite gradient for b at step 1$"):
-            adamw_step(params, grads, state, 0.1, TrainConfig())
+            adamw_step(state, 0.1, TrainConfig())
         for name, arr in params.items():
             assert np.array_equal(arr, before[name])
 
@@ -94,7 +92,8 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         for t in range(1, 6):
             g = float(rng.normal())
-            adamw_step(params, {"w": np.array([g])}, state, 0.01, config)
+            state.grads["w"][0] = g
+            adamw_step(state, 0.01, config)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             m_hat = m / (1 - 0.9**t)
@@ -206,12 +205,6 @@ class TestClipGradNorm:
 
 
 class TestHistory:
-    def test_best_epoch_first_max(self):
-        assert best_epoch_index([0.50, 0.63, 0.61]) == 2
-
-    def test_ties_take_first(self):
-        assert best_epoch_index([0.5, 0.7, 0.7]) == 2
-
     def test_csv_round_trip(self, tmp_path):
         history = TrainHistory(
             train_loss=[1.0, 0.5], train_acc=[0.5, 1.0],
@@ -256,7 +249,7 @@ class TestTrain:
         assert len(history.train_loss) == 4
         best = history.best_epoch
         assert history.val_acc[best - 1] == max(history.val_acc)
-        assert best == best_epoch_index(history.val_acc)
+        assert best == history.val_acc.index(max(history.val_acc)) + 1
 
     def test_loss_decreases_on_frozen_batch(self):
         # full-batch descent with a small lr: eval loss after each of the
@@ -285,55 +278,69 @@ class TestTrain:
         _, accuracy = evaluate(reloaded, examples, config.batch_size)
         assert accuracy == max(history.val_acc)
 
-    def test_scripted_validation_sequence_selects_epoch_two(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "val_acc, best",
+        [([0.50, 0.63, 0.61], 2), ([0.5, 0.7, 0.7], 2), ([0.9, 0.5, 0.9], 1)],
+        ids=["rise-then-fall", "tie", "first-max-repeats"],
+    )
+    def test_scripted_validation_selects_first_best_epoch(
+        self, monkeypatch, tmp_path, val_acc, best
+    ):
+        """The best epoch is the first with the highest validation accuracy,
+        and its parameters are the one checkpoint written."""
         corpus, tok_config, vocab, params, config = small_training_setup(epochs=3)
-        scripted = iter([0.10, 0.50, 0.20, 0.63, 0.30, 0.61])  # train, val pairs
-        monkeypatch.setattr(
-            trainer_module, "evaluate", lambda *a, **k: (1.0, next(scripted))
-        )
-        ckpt = tmp_path / "best.ckpt"
-        _, history = train(params, corpus, corpus, vocab, tok_config, config,
-                           checkpoint_path=ckpt)
-        assert history.val_acc == [0.50, 0.63, 0.61]
-        assert history.best_epoch == 2
+        scripted = iter(acc for val in val_acc for acc in (0.1, val))  # train, val
+        evaluated = []  # the parameters each evaluation saw
 
-    def test_divergence_aborts_with_diagnostic(self, tmp_path):
-        """A learning rate of 1e6 with clipping off: the first update (step
-        0) moves every weight by about 1e6, and the second step overflows.
-        The run stops with one error naming the epoch, the step and its lr,
-        before any checkpoint is written."""
+        def scripted_evaluate(params, examples, batch_size):
+            evaluated.append(params.copy())
+            return 1.0, next(scripted)
+
+        saved = []
+        save_checkpoint = trainer_module.save_checkpoint
+
+        def counting_save(path, params, *args):
+            saved.append(params)
+            return save_checkpoint(path, params, *args)
+
+        monkeypatch.setattr(trainer_module, "evaluate", scripted_evaluate)
+        monkeypatch.setattr(trainer_module, "save_checkpoint", counting_save)
+        ckpt = tmp_path / "best.ckpt"
+        best_params, history = train(params, corpus, corpus, vocab, tok_config,
+                                     config, checkpoint_path=ckpt)
+        assert history.val_acc == val_acc
+        assert history.best_epoch == best
+        assert len(saved) == 1 and saved[0] is best_params
+        reloaded, _, _ = load_checkpoint(ckpt)
+        for name, arr in evaluated[2 * (best - 1)].items():
+            assert np.array_equal(reloaded[name], arr), name
+
+    @pytest.mark.parametrize(
+        "per_class, expected",
+        [
+            # the first update (step 0) moves every weight by about 1e6, and
+            # the second step overflows
+            (6, r"epoch 1, step 1 \(lr 8\.33e\+05\)"),
+            # 8 songs, one step an epoch: the evaluation after step 0 overflows
+            (2, r"epoch 1 in evaluation after step 0 \(lr 1e\+06\)"),
+        ],
+        ids=["in-step", "in-evaluation"],
+    )
+    def test_divergence_aborts_with_diagnostic(self, tmp_path, per_class, expected):
+        """A learning rate of 1e6 with clipping off. The run stops with one
+        error naming the epoch, where it failed and the lr of the last step
+        that ran, before any checkpoint is written."""
         corpus, tok_config, vocab, params, config = small_training_setup(
-            epochs=2, max_grad_norm=1e30
+            per_class=per_class, epochs=2, max_grad_norm=1e30
         )
         config = dataclasses.replace(config, learning_rate=1e6)
         with pytest.raises(TrainerError) as caught:
             train(params, corpus, corpus, vocab, tok_config, config,
                   checkpoint_path=tmp_path / "m.ckpt")
         message = str(caught.value)
-        assert re.fullmatch(r"training diverged at epoch 1, step 1 \(lr 8\.33e\+05\): "
+        assert re.fullmatch(rf"training diverged at {expected}: "
                             r"\w+( \w+)* encountered in \w+", message), message
         assert not (tmp_path / "m.ckpt").exists()
-
-    def test_backward_out_gives_same_bytes(self, monkeypatch, tmp_path):
-        """Gradients written into the optimizer's buffers and gradients in a
-        fresh dict, copied in by adamw_step, train to the same bytes."""
-        results = []
-        for into_state in (True, False):
-            if not into_state:
-                backward = trainer_module.backward
-                monkeypatch.setattr(
-                    trainer_module, "backward",
-                    lambda *args, out, **kwargs: backward(*args, **kwargs),
-                )
-            corpus, tok_config, vocab, params, config = small_training_setup(
-                epochs=2, max_grad_norm=0.05
-            )
-            ckpt = tmp_path / f"{into_state}.ckpt"
-            _, history = train(params, corpus, corpus, vocab, tok_config, config,
-                               checkpoint_path=ckpt)
-            results.append((history, ckpt.read_bytes(),
-                            [arr.tobytes() for arr in params.arrays.values()]))
-        assert results[0] == results[1]
 
     def test_config_validation(self):
         with pytest.raises(TrainerError):
