@@ -3,6 +3,16 @@
 Each kernel is one numpy implementation; matrix multiplies stay in numpy
 (BLAS). GELU uses the tanh approximation, so values differ from the erf
 form in the last few ulps.
+
+The kernels make no temporary per numpy operator. They run the operations
+of their textbook expression in its order through ``out=`` and in-place
+operators, only swapping the operands of a multiplication or addition
+(which rounds the same either way), so every result keeps the bits of the
+allocating expressions that ``tests/oracles.py`` holds. ``masked_softmax``
+and ``softmax_inplace`` overwrite their scores and return them; ``gelu``,
+``gelu_grad``, ``layer_norm`` and ``layer_norm_grad`` return new arrays and
+leave their inputs as they are; ``adamw_update`` updates its parameter and
+moment arrays in place.
 """
 
 from __future__ import annotations
@@ -40,57 +50,104 @@ def softmax_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of [B, heads, Lq, Lk] scores over unmasked keys.
+    """Row-wise softmax of [B, heads, Lq, Lk] scores over unmasked keys, in
+    place: overwrites ``scores`` with the probabilities and returns it.
 
     ``key_mask`` is [B, Lk]; masked key positions get probability exactly 0.
     Every mask row must have at least one nonzero entry.
     """
-    keep = key_mask[:, None, None, :] > 0
-    return softmax_inplace(np.where(keep, scores, scores.dtype.type(-np.inf)))
+    np.copyto(scores, scores.dtype.type(-np.inf), where=key_mask[:, None, None, :] <= 0)
+    return softmax_inplace(scores)
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(C * (x + A * x * x * x))`` as a new array, with the products
+    grouped from the left as written."""
+    t = np.multiply(x, _GELU_A)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    return (0.5 * x * (1.0 + np.tanh(inner))).astype(x.dtype, copy=False)
+    """``0.5 * x * (1 + tanh(C * (x + A * x**3)))`` as a new array; ``x``
+    is left as it is."""
+    y = _gelu_tanh(x)
+    y += 1.0
+    y *= np.multiply(x, 0.5)
+    return y
 
 
 def gelu_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (
-        1.0 + 3.0 * _GELU_A * x * x
-    )
-    return (dy * local).astype(x.dtype, copy=False)
+    """``dy`` times the derivative of ``gelu`` at ``x``, as a new array;
+    ``x`` and ``dy`` are left as they are."""
+    # the derivative is 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3A * x * x)
+    # with t = tanh(C * (x + A * x**3)). ``dx`` builds the second term while
+    # ``t`` is kept for the first, and ``s`` holds (1 - t * t), then
+    # (1 + 3A * x * x): the two factors need one scratch beside ``t``
+    t = _gelu_tanh(x)
+    s = np.multiply(t, t)
+    np.subtract(1.0, s, out=s)
+    dx = np.multiply(x, 0.5)
+    dx *= s
+    dx *= _GELU_C
+    np.multiply(x, 3.0 * _GELU_A, out=s)
+    s *= x
+    s += 1.0
+    dx *= s
+    t += 1.0
+    t *= 0.5
+    dx += t
+    dx *= dy
+    return dx
 
 
 def layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize the last axis of [N, H]. Returns (y, xhat, inv_std)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    y = xhat * gain + bias
-    return (
-        y.astype(x.dtype, copy=False),
-        xhat.astype(x.dtype, copy=False),
-        inv[..., 0].astype(x.dtype, copy=False),
-    )
+    """Normalize the last axis of [N, H]. Returns (y, xhat, inv_std), all new
+    arrays; ``x`` is left as it is."""
+    n = x.shape[-1]
+    # ``sum`` then ``/= n`` gives ``mean``'s bits: for float32, mean divides
+    # the same sum in float64 and rounds back, and float64 carries more than
+    # 2 * 24 + 2 bits, so that double rounding equals one float32 division
+    mean = x.sum(axis=-1, keepdims=True)
+    mean /= n
+    xhat = np.subtract(x, mean)
+    y = np.multiply(xhat, xhat)
+    inv = y.sum(axis=-1, keepdims=True)
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, xhat, inv[..., 0]
 
 
 def layer_norm_grad(
     dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of layer_norm over [N, H]. Returns (dx, dgain, dbias)."""
-    dgain = (dy * xhat).sum(axis=0)
+    """Backward of layer_norm over [N, H]. Returns (dx, dgain, dbias), all
+    new arrays; the inputs are left as they are."""
+    n = dy.shape[-1]  # each ``/= n`` rounds like ``mean``, as in layer_norm
+    s = np.multiply(dy, xhat)
+    dgain = s.sum(axis=0)
     dbias = dy.sum(axis=0)
-    dxhat = dy * gain
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std[:, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return dx.astype(dy.dtype, copy=False), dgain, dbias
+    dx = np.multiply(dy, gain)  # dxhat until the subtractions below
+    mean_dxhat = dx.sum(axis=-1, keepdims=True)
+    mean_dxhat /= n
+    np.multiply(dx, xhat, out=s)
+    mean_dxhat_xhat = s.sum(axis=-1, keepdims=True)
+    mean_dxhat_xhat /= n
+    dx -= mean_dxhat
+    np.multiply(xhat, mean_dxhat_xhat, out=s)
+    dx -= s
+    dx *= inv_std[:, None]
+    return dx, dgain, dbias
 
 
 def adamw_update(

@@ -263,9 +263,12 @@ def forward(
 
 
 def _linear(params: Parameters, prefix: str, key: str, x: np.ndarray) -> np.ndarray:
-    """``x @ W + b`` with W = ``{prefix}.w{key}`` and b = ``{prefix}.b{key}``.
-    Callers keep ``x`` in their own cache for ``_linear_backward``."""
-    return np.matmul(x, params[f"{prefix}.w{key}"]) + params[f"{prefix}.b{key}"]
+    """``x @ W + b`` with W = ``{prefix}.w{key}`` and b = ``{prefix}.b{key}``,
+    the bias added into the matmul's output. Callers keep ``x`` in their own
+    cache for ``_linear_backward``."""
+    out = np.matmul(x, params[f"{prefix}.w{key}"])
+    out += params[f"{prefix}.b{key}"]
+    return out
 
 
 def _linear_backward(
@@ -295,9 +298,11 @@ def _dropout_backward(mask: np.ndarray | None, dout: np.ndarray) -> np.ndarray:
 def _add_norm(
     params: Parameters, prefix: str, x: np.ndarray, sub: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    """Post-norm residual: LayerNorm(x + sub) with ``{prefix}.g``/``.b``."""
+    """Post-norm residual: LayerNorm(x + sub) with ``{prefix}.g``/``.b``.
+    The residual is added into ``sub``, which no cache holds."""
+    sub += x
     y, xhat, inv = _kernels.layer_norm(
-        (x + sub).reshape(-1, x.shape[-1]),
+        sub.reshape(-1, x.shape[-1]),
         params[f"{prefix}.g"], params[f"{prefix}.b"], LN_EPS,
     )
     return y.reshape(x.shape), (xhat, inv)
@@ -329,9 +334,10 @@ def _attention(
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores *= params.dtype.type(1.0 / np.sqrt(cfg.head_size))
     probs = _kernels.masked_softmax(scores, maskf)
-    ctx = np.ascontiguousarray(
-        np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(xq.shape)
-    )
+    # each head's P.V lands in its columns of the [B, lq, heads, head] context
+    ctx = np.empty((*xq.shape[:2], cfg.num_heads, cfg.head_size), dtype=probs.dtype)
+    np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
+    ctx = ctx.reshape(xq.shape)
     return _linear(params, prefix, "o", ctx), (xq, x, q, k, v, probs, ctx)
 
 

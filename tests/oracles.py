@@ -5,9 +5,10 @@ oracle tests every character's Unicode category in turn, the Naive Bayes
 oracle multiplies plain probabilities (no logs), the WordPiece oracle
 recounts every pair on every merge, the segmentation oracle tries every end
 position from the end of the word, the encoder oracle runs one example at
-full length with every query row in every layer, the AdamW oracle
-evaluates the update expression with a fresh array per operation, and the
-CSV builder writes files by hand.
+full length with every query row in every layer, the kernel oracles
+(masked softmax, GELU, layer norm and their gradients, AdamW) evaluate each
+textbook expression with a fresh array per operation, and the CSV builder
+writes files by hand.
 """
 
 import unicodedata
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from moodlyrics._kernels import softmax_inplace
 from moodlyrics.corpus import MoodLabel
 from moodlyrics.errors import TokenizerError
 
@@ -187,6 +189,54 @@ def full_encoder_logits(params, example) -> np.ndarray:
         gelu = 0.5 * u * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * u**3)))
         x = layer_norm(x + gelu @ w["ffn.w2"] + w["ffn.b2"], w["ln2.g"], w["ln2.b"])
     return x[0] @ p["head.w"] + p["head.b"]
+
+
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+_GELU_A = 0.044715
+
+
+def masked_softmax_allocating(scores, key_mask):
+    """Masked softmax over a fresh copy of ``scores``, which stays as it is."""
+    keep = key_mask[:, None, None, :] > 0
+    return softmax_inplace(np.where(keep, scores, scores.dtype.type(-np.inf)))
+
+
+def gelu_allocating(x):
+    inner = _GELU_C * (x + _GELU_A * x * x * x)
+    return (0.5 * x * (1.0 + np.tanh(inner))).astype(x.dtype, copy=False)
+
+
+def gelu_grad_allocating(x, dy):
+    inner = _GELU_C * (x + _GELU_A * x * x * x)
+    t = np.tanh(inner)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (
+        1.0 + 3.0 * _GELU_A * x * x
+    )
+    return (dy * local).astype(x.dtype, copy=False)
+
+
+def layer_norm_allocating(x, gain, bias, eps):
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    y = xhat * gain + bias
+    return (
+        y.astype(x.dtype, copy=False),
+        xhat.astype(x.dtype, copy=False),
+        inv[..., 0].astype(x.dtype, copy=False),
+    )
+
+
+def layer_norm_grad_allocating(dy, xhat, inv_std, gain):
+    dgain = (dy * xhat).sum(axis=0)
+    dbias = dy.sum(axis=0)
+    dxhat = dy * gain
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_std[:, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return dx.astype(dy.dtype, copy=False), dgain, dbias
 
 
 def adamw_update_allocating(

@@ -3,8 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodlyrics import _kernels as K
+from moodlyrics.model import ModelConfig, Parameters, _linear, param_shapes
 
-from oracles import adamw_update_allocating
+from oracles import (
+    adamw_update_allocating,
+    gelu_allocating,
+    gelu_grad_allocating,
+    layer_norm_allocating,
+    layer_norm_grad_allocating,
+    masked_softmax_allocating,
+)
 
 RNG = np.random.default_rng(123)
 
@@ -115,6 +123,133 @@ class TestAdamWUpdate:
             for got, want in ((param, ref_param), (m, ref_m), (v, ref_v)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def spread_values(rng, shape, dtype):
+    """Normal values at scales from 1e-4 to 1e2 per element, with a few
+    zeros and values where tanh saturates."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3, size=shape)
+    flat = x.reshape(-1)
+    flat[rng.random(flat.size) < 0.05] = 0.0
+    flat[rng.random(flat.size) < 0.05] *= 1e3
+    return x.astype(dtype)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_unchanged(arrays, copies):
+    for arr, copy in zip(arrays, copies):
+        assert arr.tobytes() == copy.tobytes()
+
+
+EXACT = dict(max_examples=40, derandomize=True, database=None, deadline=None)
+DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+class TestInPlaceKernelsRoundLikeTheOracles:
+    """Each kernel writes into its outputs but rounds every element as the
+    allocating textbook expression in ``oracles`` does, and leaves its
+    inputs as they are (``masked_softmax`` overwrites ``scores`` alone)."""
+
+    @settings(**EXACT)
+    @given(
+        dtype=DTYPES,
+        shape=st.one_of(
+            st.tuples(st.integers(1, 40), st.integers(1, 70)),  # [N, H]
+            st.tuples(st.integers(1, 4), st.integers(1, 20), st.integers(1, 40)),  # [B, b, F]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gelu_and_grad(self, dtype, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = spread_values(rng, shape, dtype)
+        # where 2x overflows, (0.5 * x) * 2 is finite but 0.5 * (x * 2) is not
+        x.reshape(-1)[rng.random(x.size) < 0.05] = np.finfo(dtype).max * 0.75
+        dy = spread_values(rng, shape, dtype)
+        inputs = (x, dy)
+        copies = [a.copy() for a in inputs]
+        with np.errstate(over="ignore", invalid="ignore"):  # x**3 overflows there
+            assert_same_bytes(K.gelu(x), gelu_allocating(x))
+            assert_same_bytes(K.gelu_grad(x, dy), gelu_grad_allocating(x, dy))
+        assert_unchanged(inputs, copies)
+
+    @settings(**EXACT)
+    @given(
+        dtype=DTYPES,
+        rows=st.integers(1, 40),
+        width=st.integers(1, 70),
+        constant_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layer_norm_and_grad(self, dtype, rows, width, constant_row, seed):
+        rng = np.random.default_rng(seed)
+        x = spread_values(rng, (rows, width), dtype) + dtype(rng.normal() * 10)
+        if constant_row:
+            x[0] = x[0, 0]  # zero variance: the row is eps alone
+        gain = rng.normal(1.0, 0.5, size=width).astype(dtype)
+        bias = rng.normal(size=width).astype(dtype)
+        dy = spread_values(rng, (rows, width), dtype)
+
+        inputs = (x, gain, bias)
+        copies = [a.copy() for a in inputs]
+        got = K.layer_norm(x, gain, bias, 1e-5)
+        want = layer_norm_allocating(x, gain, bias, 1e-5)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+        assert_unchanged(inputs, copies)
+
+        _, xhat, inv = want
+        inputs = (dy, xhat, inv, gain)
+        copies = [a.copy() for a in inputs]
+        got = K.layer_norm_grad(dy, xhat, inv, gain)
+        want = layer_norm_grad_allocating(dy, xhat, inv, gain)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+        assert_unchanged(inputs, copies)
+
+    @settings(**EXACT)
+    @given(
+        dtype=DTYPES,
+        batch=st.integers(1, 4),
+        heads=st.sampled_from([1, 2, 4]),
+        keys=st.integers(1, 40),
+        cls_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_masked_softmax_overwrites_scores(self, dtype, batch, heads, keys, cls_row, seed):
+        """[B, heads, b, b] scores, or the [B, heads, 1, b] [CLS] row, under
+        masks with interior holes; every mask row keeps one key."""
+        rng = np.random.default_rng(seed)
+        rows = 1 if cls_row else keys
+        scores = spread_values(rng, (batch, heads, rows, keys), dtype)
+        mask = (rng.random((batch, keys)) < 0.6).astype(dtype)
+        mask[np.arange(batch), rng.integers(0, keys, size=batch)] = 1.0
+        mask_copy = mask.copy()
+        want = masked_softmax_allocating(scores, mask)
+        got = K.masked_softmax(scores, mask)
+        assert got is scores
+        assert_same_bytes(got, want)
+        assert_unchanged((mask,), (mask_copy,))
+
+    @settings(**EXACT)
+    @given(dtype=DTYPES, batch=st.integers(1, 4), rows=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_linear_adds_bias_in_place(self, dtype, batch, rows, seed):
+        """The model's projection, its bias added into the matmul output,
+        equals ``x @ W + b``."""
+        rng = np.random.default_rng(seed)
+        config = ModelConfig(vocab_size=5, max_positions=20, num_layers=1,
+                             hidden_size=8, num_heads=2, ffn_size=12)
+        params = Parameters(config, {
+            name: rng.normal(size=shape).astype(dtype)
+            for name, shape in param_shapes(config).items()
+        })
+        x = spread_values(rng, (batch, rows, 8), dtype)
+        w, b = params["layers.0.ffn.w1"], params["layers.0.ffn.b1"]
+        assert_same_bytes(_linear(params, "layers.0.ffn", "1", x), x @ w + b)
 
 
 class TestSelection:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -75,6 +76,23 @@ def mixed_bucket_batch(synth32, vocab32, tok_config):
         encode(text, vocab32, tok_config, label=rec.mood)
         for text, rec in zip(texts, recs)
     ]
+
+
+def cached_array_digests(trace) -> list[str]:
+    """SHA-256 of every array a forward trace holds, in a fixed order."""
+    digests = []
+
+    def visit(item):
+        if isinstance(item, np.ndarray):
+            digests.append(hashlib.sha256(item.tobytes()).hexdigest())
+        elif isinstance(item, (tuple, list)):
+            for part in item:
+                visit(part)
+
+    visit([trace.logits, trace.ids])
+    for bucket in trace.buckets:
+        visit([bucket.index, bucket.ids, bucket.emb_drop, bucket.layers, bucket.h_cls])
+    return digests
 
 
 def bucket_of(example) -> int:
@@ -514,6 +532,28 @@ class TestBackward:
         assert into is state.grads and list(into) == list(fresh)
         for name, grad in fresh.items():
             assert grad.dtype == dtype and np.array_equal(into[name], grad), name
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+    def test_backward_twice_leaves_trace_as_it_was(
+        self, synth32, vocab32, tok_config, dropout_rate
+    ):
+        """The in-place kernels write into nothing a trace caches: a second
+        backward over one trace gives the first's gradients, and every
+        cached array keeps its bytes."""
+        config = ModelConfig(vocab_size=len(vocab32), max_positions=32, num_layers=2,
+                             hidden_size=8, num_heads=2, ffn_size=16,
+                             dropout_rate=dropout_rate, seed=5)
+        params = init_model(config, dtype=np.float32)
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)
+        labels = np.array([int(ex.label) for ex in batch])
+        trace = forward(params, batch, mode="train", rng=np.random.default_rng(9))
+        assert len(trace.buckets) >= 2
+        before = cached_array_digests(trace)
+        first = backward(params, trace, labels)
+        second = backward(params, trace, labels)
+        assert cached_array_digests(trace) == before
+        for name, grad in first.items():
+            assert np.array_equal(second[name], grad), name
 
 
 class TestPredict:
