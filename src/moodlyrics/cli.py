@@ -45,6 +45,7 @@ from .corpus import (
 from .errors import CorpusError, MoodlyricsError, UsageError
 from .model import (
     CHECKPOINT_MAGIC,
+    EVAL_BATCH,  # unused here; perfbench sizes its eval stage by cli.EVAL_BATCH
     ModelConfig,
     classify,
     init_model,
@@ -62,7 +63,6 @@ from .tokenizer import (
 from .trainer import TrainConfig, train
 
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
-EVAL_BATCH = 32
 
 
 @dataclass
@@ -83,12 +83,16 @@ class RunManifest:
         return write_atomic(out_dir / "manifest.json", [text.encode("utf-8")])
 
 
-def _read_corpus(path: str, run: RunManifest) -> tuple:
-    """``load_corpus`` on ``path``; the run records the SHA-256 of the bytes
-    it parsed."""
-    data = read_input(path, "corpus file", CorpusError)
+def _read_hashed(path, what: str, error: type[Exception], run: RunManifest) -> bytes:
+    """The bytes of input file ``path``; the run records their SHA-256."""
+    data = read_input(path, what, error)
     run.inputs[str(path)] = hashlib.sha256(data).hexdigest()
-    return load_corpus(path, data=data)
+    return data
+
+
+def _read_corpus(path: str, run: RunManifest) -> tuple:
+    """``load_corpus`` on ``path``, from the bytes the run hashed."""
+    return load_corpus(path, data=_read_hashed(path, "corpus file", CorpusError, run))
 
 
 def _fan_out_seeds(seed: int, run: RunManifest) -> dict[str, int]:
@@ -130,13 +134,14 @@ _SETTABLE = {
 } | {"alpha": (baseline.nb_train, "float")}
 
 
-def _read_settings(args) -> dict:
-    """The --config pairs, then the --set ones (the last of a key wins),
-    parsed as keyword arguments of what takes them."""
+def _read_settings(args, *, data: bytes | None = None) -> dict:
+    """The --config pairs (from ``data``, the file's bytes already read, when
+    given), then the --set ones (the last of a key wins), parsed as keyword
+    arguments of what takes them."""
     pairs: dict[str, str] = {}
     if args.config:
         path = Path(args.config)
-        lines = read_input_text(path, "config file", UsageError).splitlines()
+        lines = read_input_text(path, "config file", UsageError, data=data).splitlines()
         for lineno, line in enumerate(lines, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -256,7 +261,7 @@ def _score(model, split) -> tuple:
                  for rec in split]
     else:
         params, vocab, tok_config = model
-        logits = classify(params, encode_corpus(split, vocab, tok_config), EVAL_BATCH)
+        logits = classify(params, encode_corpus(split, vocab, tok_config))
         preds = [MoodLabel(int(i)) for i in logits.argmax(axis=1)]
     matrix = evaluation.confusion(preds, [rec.mood for rec in split])
     return matrix, evaluation.report(matrix)
@@ -282,7 +287,8 @@ def _metrics_dict(rep: evaluation.EvalReport) -> dict:
 def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
     corpus, _ = _read_corpus(args.input, run)
     seeds = _fan_out_seeds(args.seed, run)
-    settings = _read_settings(args)
+    config = _read_hashed(args.config, "config file", UsageError, run) if args.config else None
+    settings = _read_settings(args, data=config)
     train_split, val_split, test_split = stratified_split(
         corpus, SPLIT_RATIOS, seeds["split"]
     )
@@ -333,12 +339,15 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
     print(f"{summary} test accuracy {rep.accuracy:.4f}")
 
 
-def _load_model(args):
+def _load_model(args) -> tuple:
     """The --checkpoint model, from one read of the file: a Naive Bayes
-    model, or a transformer's (parameters, vocabulary, tokenizer settings)."""
+    model, or a transformer's (parameters, vocabulary, tokenizer settings),
+    and the SHA-256 of the bytes read. A transformer's vocabulary must match
+    the hash its checkpoint header pins."""
     data = read_input(args.checkpoint, "checkpoint", UsageError)
+    digest = hashlib.sha256(data).hexdigest()
     if data.startswith(baseline.NB_FORMAT.encode("utf-8")):
-        return baseline.load_nb(args.checkpoint, data=data)
+        return baseline.load_nb(args.checkpoint, data=data), digest
     if not data.startswith(CHECKPOINT_MAGIC):
         raise UsageError(f"unrecognized checkpoint format: {Path(args.checkpoint)}")
     params, vocab_hash, tok_config = load_checkpoint(args.checkpoint, data=data)
@@ -350,7 +359,7 @@ def _load_model(args):
             f"vocabulary hash mismatch: checkpoint expects {vocab_hash[:12]}..., "
             f"{args.vocab} has {vocab.sha256()[:12]}..."
         )
-    return params, vocab, tok_config
+    return (params, vocab, tok_config), digest
 
 
 def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
@@ -362,7 +371,9 @@ def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
         splits = stratified_split(corpus, SPLIT_RATIOS, seeds["split"])
         chosen = splits[("train", "val", "test").index(args.split)]
 
-    matrix, rep = _score(_load_model(args), chosen)
+    model, digest = _load_model(args)
+    run.inputs[str(args.checkpoint)] = digest
+    matrix, rep = _score(model, chosen)
     report_text = evaluation.format_report(rep)
     write_atomic(out_dir / "report.txt", [report_text.encode("utf-8")])
     evaluation.save_report_csv(rep, out_dir / "report.csv")
@@ -384,7 +395,7 @@ def cmd_predict(args) -> int:
             "warning: lyrics are empty after cleaning; prediction uses no content",
             file=sys.stderr,
         )
-    model = _load_model(args)
+    model, _ = _load_model(args)
     if isinstance(model, baseline.NaiveBayesModel):
         label, probs = baseline.nb_predict(model, lyrics, cleaned=cleaned)
     else:

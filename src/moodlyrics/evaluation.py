@@ -29,13 +29,6 @@ class ConfusionMatrix:
 
     cells: np.ndarray  # [4, 4] non-negative integers
 
-    @property
-    def total(self) -> int:
-        return int(self.cells.sum())
-
-    def support(self, label: MoodLabel) -> int:
-        return int(self.cells[label].sum())
-
 
 @dataclass(frozen=True)
 class EvalReport:

@@ -4,10 +4,11 @@ Post-norm encoder layers (multi-head self-attention, then a position-wise
 feed-forward block with GELU), token plus learned position embeddings, and
 a linear head over the first position's final hidden state, so the last
 layer runs the query, attention output, add-norms and FFN for that [CLS]
-row alone (its keys and values still cover every row). Forward caches
-everything exact backpropagation needs; dropout runs only in train mode
-from a caller-supplied generator, and the recorded masks are replayed in
-backward.
+row alone (its keys and values still cover every row). A train-mode
+forward caches everything exact backpropagation needs; dropout runs only in
+train mode from a caller-supplied generator, and the recorded masks are
+replayed in backward. An eval-mode forward keeps no backward caches: each
+bucket's intermediates are freed once its logits are written.
 
 Examples keep their fixed encoded length, but each one runs through the
 encoder at its own bucket length: its last unmasked position + 1, rounded
@@ -45,6 +46,9 @@ LN_EPS = 1e-5
 
 # bucket lengths are multiples of this (see _bucket_lengths)
 BUCKET_MULTIPLE = 8
+
+# examples per eval-mode forward in classify; logits do not depend on it
+EVAL_BATCH = 32
 
 CHECKPOINT_MAGIC = b"MLCP"
 CHECKPOINT_VERSION = 1
@@ -205,10 +209,12 @@ class BucketTrace:
 
 @dataclass
 class ForwardTrace:
-    """Logits plus every intermediate needed for exact backpropagation.
+    """Logits plus, in train mode, every intermediate needed for exact
+    backpropagation.
 
-    ``ids`` is the batch trimmed to its longest bucket; ``buckets`` holds
-    one cache per distinct bucket length, in ascending order.
+    ``ids`` is the batch trimmed to its longest bucket. In train mode
+    ``buckets`` holds one cache per distinct bucket length, in ascending
+    order; in eval mode it is empty.
     """
 
     logits: np.ndarray
@@ -226,7 +232,9 @@ def forward(
 
     ``mode`` is "train" or "eval"; train mode applies inverted dropout at
     the embedding output and after each sublayer projection, drawing masks
-    from ``rng`` bucket by bucket in ascending bucket order.
+    from ``rng`` bucket by bucket in ascending bucket order, and keeps each
+    bucket's backward cache in the trace. Eval mode keeps none, so its
+    trace cannot be passed to ``backward``.
     """
     if mode not in ("train", "eval"):
         raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -246,7 +254,9 @@ def forward(
             rng if use_dropout else None,
         )
         logits[index] = bucket_logits
-        buckets.append(bucket)
+        if mode == "train":
+            buckets.append(bucket)
+        del bucket  # an eval bucket's caches go before the next bucket runs
     if not np.all(np.isfinite(logits)):
         raise ModelError("forward pass produced non-finite logits")
     return ForwardTrace(logits=logits, ids=ids[:, : lengths.max()], buckets=buckets)
@@ -479,9 +489,13 @@ def backward(
     """Exact gradients of the (optionally class-weighted) mean
     cross-entropy loss for every parameter array, summed over the
     trace's buckets. They are added into ``out``, zeroed arrays shaped like
-    the parameters, when it is given, and into new ones otherwise."""
+    the parameters, when it is given, and into new ones otherwise. The
+    trace must come from a train-mode forward: an eval-mode trace holds no
+    buckets and raises ModelError."""
     if trace.logits.shape[0] != len(labels):
         raise ModelError("trace and labels batch sizes differ")
+    if not trace.buckets:
+        raise ModelError("backward needs a train-mode trace; this one holds no buckets")
 
     d_logits = softmax_cross_entropy(trace.logits, labels, class_weights)[1].astype(params.dtype)
 
@@ -508,11 +522,13 @@ def _bucket_backward(
     np.add.at(grads["tok_emb"], bucket.ids.reshape(-1), dx0)
 
 
-def classify(params: Parameters, examples: list[EncodedExample], batch_size: int) -> np.ndarray:
-    """Eval-mode logits [N, classes] of ``examples``, ``batch_size`` at a time."""
+def classify(params: Parameters, examples: list[EncodedExample]) -> np.ndarray:
+    """Eval-mode logits [N, classes] of ``examples``, EVAL_BATCH at a time.
+    An example's logits do not depend on its batch-mates, so they equal its
+    own single-example forward's."""
     logits = np.empty((len(examples), params.config.num_classes), dtype=params.dtype)
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
+    for start in range(0, len(examples), EVAL_BATCH):
+        chunk = examples[start : start + EVAL_BATCH]
         logits[start : start + len(chunk)] = forward(params, chunk, mode="eval").logits
     return logits
 
@@ -522,7 +538,7 @@ def predict(
 ) -> tuple[MoodLabel, np.ndarray]:
     """Most probable mood and the full probability vector. Ties break
     toward the lowest class index."""
-    probs = softmax(forward(params, [example], mode="eval").logits)[0]
+    probs = softmax(classify(params, [example]))[0]
     return MoodLabel(int(np.argmax(probs))), probs
 
 
@@ -564,7 +580,8 @@ def load_checkpoint(
     path: str | Path, *, data: bytes | None = None
 ) -> tuple[Parameters, str, TokenizerConfig]:
     """Read a checkpoint (or ``data``, its bytes already read), validating
-    magic, version, and array shapes against the stored config.
+    magic, version, array shapes against the stored config, and that every
+    value is finite.
 
     Returns (parameters, vocab hash, tokenizer settings).
     """
@@ -605,9 +622,10 @@ def load_checkpoint(
         raw = data[offset : offset + 4 * count]
         if len(raw) != 4 * count:
             raise ModelError(f"truncated checkpoint: {path}")
-        arrays[entry["name"]] = (
-            np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        )
+        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ModelError(f"non-finite value in checkpoint array {entry['name']}: {path}")
+        arrays[entry["name"]] = arr
         offset += 4 * count
     if offset != len(data):
         raise ModelError(f"trailing bytes in checkpoint: {path}")

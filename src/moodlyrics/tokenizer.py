@@ -74,9 +74,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.id_of
-
     def _serialized(self) -> bytes:
         return ("\n".join(self.tokens) + "\n").encode("utf-8")
 

@@ -2,8 +2,9 @@
 learning-rate decay without warmup, global-norm gradient clipping, and one
 checkpoint of the best-validation epoch, written after training.
 
-Epoch metrics are computed over the whole split in eval mode, so the
-accuracy curves are well-defined. All randomness (shuffling, dropout)
+Epoch metrics are computed over the whole split in eval mode, by the
+same ``classify`` pass that ``eval`` scores with, so the accuracy curves
+are well-defined. All randomness (shuffling, dropout)
 derives from ``TrainConfig.seed``; two runs with identical seed, config,
 and data produce identical histories and checkpoint bytes.
 """
@@ -212,14 +213,13 @@ class TrainHistory:
         return write_csv(path, [HISTORY_HEADER, *rows])
 
 
-def evaluate(
-    params: Parameters, examples: list[EncodedExample], batch_size: int
-) -> tuple[float, float]:
-    """Mean loss and accuracy over a split, in eval mode."""
+def evaluate(params: Parameters, examples: list[EncodedExample]) -> tuple[float, float]:
+    """Mean loss and accuracy over a split, from ``classify``'s eval-mode
+    logits (EVAL_BATCH examples per forward, whatever the train batch)."""
     if not examples:
         raise TrainerError("cannot evaluate an empty split")
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    logits = classify(params, examples, batch_size)
+    logits = classify(params, examples)
     correct = int((logits.argmax(axis=1) == labels).sum())
     return cross_entropy(logits, labels), correct / len(examples)
 
@@ -277,8 +277,8 @@ def train(
                     adamw_step(state, lr, train_config)
                     step += 1
                 where = f" in evaluation after step {step - 1}"
-                train_loss, train_acc = evaluate(params, train_examples, batch_size)
-                val_loss, val_acc = evaluate(params, val_examples, batch_size)
+                train_loss, train_acc = evaluate(params, train_examples)
+                val_loss, val_acc = evaluate(params, val_examples)
         except FloatingPointError as exc:
             raise TrainerError(f"training diverged at epoch {epoch}{where} "
                                f"(lr {lr:.3g}): {exc}") from None

@@ -146,7 +146,7 @@ def wordpiece_segment_uncapped(word: str, vocab) -> list[str]:
             piece = word[start:end]
             if start > 0:
                 piece = "##" + piece
-            if piece in vocab:
+            if piece in vocab.id_of:
                 match = piece
                 break
             end -= 1

@@ -311,5 +311,5 @@ def test_9_best_checkpoint_rule(tmp_path, monkeypatch):
         )
         reloaded, _, _ = load_checkpoint(ckpt)
         examples = encode_corpus(corpus, vocab, tok_config)
-        _, accuracy = evaluate(reloaded, examples, train_config.batch_size)
+        _, accuracy = evaluate(reloaded, examples)
         assert accuracy == real_history.val_acc[real_history.best_epoch - 1]

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import math
@@ -626,6 +627,53 @@ def test_each_input_file_is_read_once(corpus_csv, trained, nb_model, tmp_path,
     monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
     assert run(argv) == 0
     assert sorted(reads) == sorted(map(str, inputs))
+
+
+@pytest.mark.parametrize("which", ["eval-bert", "eval-nb", "train-config"])
+def test_manifest_hashes_every_input_file(corpus_csv, trained, nb_model, tmp_path, which):
+    config = tmp_path / "train.cfg"
+    config.write_text("alpha=0.5\n", encoding="utf-8")
+    checkpoint, vocab = trained / "checkpoint.ckpt", trained / "vocab.txt"
+    out = tmp_path / "o"
+    argv, hashed = {
+        "eval-bert": (["eval", "--checkpoint", checkpoint, "--vocab", vocab],
+                      [corpus_csv, checkpoint]),
+        "eval-nb": (["eval", "--checkpoint", nb_model], [corpus_csv, nb_model]),
+        "train-config": (["train", "--model", "nb", "--config", config],
+                         [corpus_csv, config]),
+    }[which]
+    assert run([*argv, "--input", corpus_csv, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in hashed
+    }
+
+
+def with_array_value(checkpoint: bytes, name: str, value: float) -> bytes:
+    """``checkpoint`` with the first float32 of array ``name`` set to ``value``."""
+    header_len = struct.unpack("<II", checkpoint[4:12])[1]
+    offset = 12 + header_len
+    for entry in json.loads(checkpoint[12 : 12 + header_len])["arrays"]:
+        if entry["name"] == name:
+            break
+        offset += 4 * math.prod(entry["shape"])
+    return checkpoint[:offset] + struct.pack("<f", value) + checkpoint[offset + 4 :]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_non_finite_checkpoint_value_exits_2(corpus_csv, trained, tmp_path, capsys,
+                                             command, value):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_array_value((trained / "checkpoint.ckpt").read_bytes(),
+                                     "layers.0.attn.wq", value))
+    model_flags = ["--checkpoint", bad, "--vocab", trained / "vocab.txt"]
+    argv = {"eval": ["eval", *model_flags, "--input", corpus_csv, "--out", tmp_path / "o"],
+            "predict": ["predict", *model_flags, "--lyrics", "ভালোবাসা প্রেম"]}[command]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert str(bad) in err and "layers.0.attn.wq" in err
 
 
 class TestEnvironment:

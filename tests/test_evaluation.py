@@ -62,9 +62,9 @@ class TestConfusion:
             preds = [MoodLabel(int(i)) for i in rng.integers(0, 4, n)]
             golds = [MoodLabel(int(i)) for i in rng.integers(0, 4, n)]
             matrix = confusion(preds, golds)
-            assert matrix.total == n
+            assert int(matrix.cells.sum()) == n
             for label in MoodLabel:
-                assert matrix.support(label) == sum(1 for g in golds if g is label)
+                assert int(matrix.cells[label].sum()) == sum(1 for g in golds if g is label)
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from moodlyrics import _kernels
 from moodlyrics.corpus import MoodLabel
 from moodlyrics.errors import ModelError
 from moodlyrics.model import (
+    EVAL_BATCH,
     ModelConfig,
     backward,
+    classify,
     cross_entropy,
     forward,
     init_model,
@@ -22,7 +25,7 @@ from moodlyrics.model import (
     softmax,
     softmax_cross_entropy,
 )
-from moodlyrics.tokenizer import TokenizerConfig, encode
+from moodlyrics.tokenizer import EncodedExample, TokenizerConfig, encode
 from moodlyrics.trainer import init_adam_state
 
 from helpers import gradient_check
@@ -390,7 +393,7 @@ class TestBuckets:
         short = mixed_bucket_batch(synth32, vocab32, tok_config)[0]
         batch = [short, full]
         assert len({bucket_of(ex) for ex in batch}) >= 2
-        trace = forward(tiny_params, batch, mode="eval")
+        trace = forward(tiny_params, batch, mode="train", rng=np.random.default_rng(0))
         assert trace.ids.shape[1] == tok_config.max_sequence_length
         assert [b.ids.shape[1] for b in trace.buckets] == [
             bucket_of(short), tok_config.max_sequence_length
@@ -490,22 +493,27 @@ class TestBackward:
     def test_unused_vocab_rows_have_zero_grad(self, synth32, vocab32, tok_config, tiny_params):
         batch = batch_from(synth32, vocab32, tok_config, 3)
         labels = np.array([int(ex.label) for ex in batch])
-        trace = forward(tiny_params, batch, mode="eval")
+        trace = forward(tiny_params, batch, mode="train", rng=np.random.default_rng(0))
         grads = backward(tiny_params, trace, labels)
         used = set(np.unique(trace.ids))
         unused = [i for i in range(tiny_params.config.vocab_size) if i not in used]
         assert unused, "test needs at least one unused vocabulary row"
         assert (grads["tok_emb"][unused] == 0.0).all()
 
-    def test_duplicated_batch_same_gradients(self, synth32, vocab32, tok_config, tiny_params):
+    def test_duplicated_batch_same_gradients(self, synth32, vocab32, tok_config):
+        # no dropout, so both batches run every example under the same masks
+        config = ModelConfig(vocab_size=len(vocab32), max_positions=32, num_layers=2,
+                             hidden_size=8, num_heads=2, ffn_size=16,
+                             dropout_rate=0.0, seed=5)
+        params = init_model(config, dtype=np.float64)
         batch = batch_from(synth32, vocab32, tok_config, 3)
         labels = np.array([int(ex.label) for ex in batch])
-        trace = forward(tiny_params, batch, mode="eval")
-        grads = backward(tiny_params, trace, labels)
+        trace = forward(params, batch, mode="train")
+        grads = backward(params, trace, labels)
         doubled = batch + batch
         labels2 = np.hstack([labels, labels])
-        trace2 = forward(tiny_params, doubled, mode="eval")
-        grads2 = backward(tiny_params, trace2, labels2)
+        trace2 = forward(params, doubled, mode="train")
+        grads2 = backward(params, trace2, labels2)
         for name in grads:
             assert np.allclose(grads[name], grads2[name], atol=1e-12), name
 
@@ -554,6 +562,68 @@ class TestBackward:
         assert cached_array_digests(trace) == before
         for name, grad in first.items():
             assert np.array_equal(second[name], grad), name
+
+
+def varied_length_examples(count, length, vocab_size, seed):
+    """``count`` random examples whose real lengths cover 2..``length``, so
+    a batch of them spans every bucket."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i in range(count):
+        real = 2 + (i * 7) % (length - 1)
+        ids = np.zeros(length, dtype=np.int32)
+        ids[:real] = rng.integers(4, vocab_size, size=real)
+        mask = (np.arange(length) < real).astype(np.int32)
+        examples.append(EncodedExample(ids, mask, MoodLabel(i % 4)))
+    return examples
+
+
+class TestClassify:
+    def test_matches_each_example_alone(self, vocab32, tiny_params):
+        examples = varied_length_examples(70, 32, len(vocab32), seed=3)
+        assert len(examples) % EVAL_BATCH != 0
+        assert len({bucket_of(ex) for ex in examples}) == 4
+        logits = classify(tiny_params, examples)
+        assert logits.shape == (70, 4)
+        for i, example in enumerate(examples):
+            alone = forward(tiny_params, [example], mode="eval").logits[0]
+            assert np.array_equal(logits[i], alone), i
+
+    def test_predict_is_softmax_of_the_classify_row(self, vocab32, tiny_params):
+        examples = varied_length_examples(9, 32, len(vocab32), seed=4)
+        logits = classify(tiny_params, examples)
+        for i, example in enumerate(examples):
+            label, probs = predict(tiny_params, example)
+            assert np.array_equal(probs, softmax(logits[i : i + 1])[0]), i
+            assert label is MoodLabel(int(np.argmax(logits[i])))
+
+    def test_eval_trace_has_no_buckets_and_no_backward(self, synth32, vocab32, tok_config,
+                                                       tiny_params):
+        batch = mixed_bucket_batch(synth32, vocab32, tok_config)
+        trace = forward(tiny_params, batch, mode="eval")
+        assert trace.buckets == []
+        assert trace.ids.shape == (len(batch), max(bucket_of(ex) for ex in batch))
+        labels = np.array([int(ex.label) for ex in batch])
+        with pytest.raises(ModelError, match="train-mode trace"):
+            backward(tiny_params, trace, labels)
+
+    def test_eval_trace_holds_only_logits_and_ids(self):
+        """32 examples over at least 16 buckets of a 256-position model; a
+        trace that kept every bucket's backward cache would hold about 13 MiB."""
+        config = ModelConfig(vocab_size=50, max_positions=256, num_layers=2,
+                             hidden_size=32, num_heads=2, seed=1)
+        params = init_model(config)
+        examples = varied_length_examples(32, 256, 50, seed=5)
+        assert len({bucket_of(ex) for ex in examples}) >= 16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = forward(params, examples, mode="eval")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.logits.shape == (32, 4)
+        assert held < 2**20, f"the eval trace holds {held / 2**20:.1f} MiB"
 
 
 class TestPredict:

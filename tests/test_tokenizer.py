@@ -70,7 +70,7 @@ class TestTrainWordpiece:
             corpus_of("aa ab"), TokenizerConfig(vocab_size=16, max_sequence_length=8)
         )
         for piece in ("a", "##a", "##b"):
-            assert piece in vocab
+            assert piece in vocab.id_of
         for word in ("aa", "ab"):
             assert wordpiece_segment(word, vocab) != [UNK_TOKEN]
 

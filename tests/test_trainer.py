@@ -275,7 +275,7 @@ class TestTrain:
         reloaded, vocab_hash, _ = load_checkpoint(ckpt)
         assert vocab_hash == vocab.sha256()
         examples = encode_corpus(corpus, vocab, tok_config)
-        _, accuracy = evaluate(reloaded, examples, config.batch_size)
+        _, accuracy = evaluate(reloaded, examples)
         assert accuracy == max(history.val_acc)
 
     @pytest.mark.parametrize(
@@ -292,7 +292,7 @@ class TestTrain:
         scripted = iter(acc for val in val_acc for acc in (0.1, val))  # train, val
         evaluated = []  # the parameters each evaluation saw
 
-        def scripted_evaluate(params, examples, batch_size):
+        def scripted_evaluate(params, examples):
             evaluated.append(params.copy())
             return 1.0, next(scripted)
 
