@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's own code paths: the cleaning
 oracle tests every character's Unicode category in turn, the Naive Bayes
-oracle multiplies plain probabilities (no logs), the WordPiece oracle
-recounts every pair on every merge, the segmentation oracle tries every end
-position from the end of the word, the encoder oracle runs one example at
-full length with every query row in every layer, the kernel oracles
-(masked softmax, GELU, layer norm and their gradients, AdamW) evaluate each
-textbook expression with a fresh array per operation, and the CSV builder
-writes files by hand.
+oracle multiplies plain probabilities (no logs), the Naive Bayes loop
+oracles count one word row and add one log-likelihood row at a time, the
+WordPiece oracle recounts every pair on every merge, the segmentation
+oracle tries every end position from the end of the word, the encoder
+oracle runs one example at full length with every query row in every
+layer, the kernel oracles (masked softmax, GELU, layer norm and their
+gradients, AdamW) evaluate each textbook expression with a fresh array per
+operation, and the CSV builder writes files by hand.
 """
 
 import unicodedata
@@ -61,6 +62,46 @@ def nb_brute_force_posterior(
 
 def tokenize_like_baseline(text: str) -> list[str]:
     return clean_text_by_category(text).lower().split()
+
+
+def nb_train_loops(corpus, alpha: float) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """(vocabulary, log priors, log likelihoods) of multinomial Naive Bayes,
+    counted one token at a time into a numpy row per word and a running
+    per-class total, then copied row by row into the [V, 4] matrix: the
+    bit-exact reference for ``baseline.nb_train``."""
+    class_docs = {label: 0 for label in MoodLabel}
+    word_counts: dict[str, np.ndarray] = {}
+    class_totals = np.zeros(N_CLASSES)
+    for rec in corpus:
+        class_docs[rec.mood] += 1
+        for word in rec.cleaned.lower().split():
+            row = word_counts.get(word)
+            if row is None:
+                row = word_counts[word] = np.zeros(N_CLASSES)
+            row[rec.mood] += 1
+            class_totals[rec.mood] += 1
+    vocabulary = {word: i for i, word in enumerate(sorted(word_counts))}
+    counts = np.zeros((len(vocabulary), N_CLASSES))
+    for word, row in word_counts.items():
+        counts[vocabulary[word]] = row
+    log_priors = np.log(np.array([class_docs[label] for label in MoodLabel]) / len(corpus))
+    likelihood = (counts + alpha) / (class_totals + alpha * len(vocabulary))
+    return vocabulary, log_priors, np.log(likelihood)
+
+
+def nb_posterior_loop(
+    vocabulary: dict[str, int], log_priors: np.ndarray, log_likelihood: np.ndarray,
+    cleaned: str,
+) -> np.ndarray:
+    """Posterior from a copy of the log priors with each known token's
+    log-likelihood row added in turn: the bit-exact reference for
+    ``baseline.nb_predict``."""
+    scores = log_priors.copy()
+    for word in cleaned.lower().split():
+        row = vocabulary.get(word)
+        if row is not None:
+            scores += log_likelihood[row]
+    return softmax_inplace(scores)
 
 
 def write_counts_csv(path: Path, counts: dict[str, int]) -> Path:

@@ -15,10 +15,22 @@ from moodlyrics.baseline import (
     nb_train,
     save_nb,
 )
-from moodlyrics.corpus import Corpus, MoodLabel, SongRecord, stratified_split, synthesize_corpus
+from moodlyrics.corpus import (
+    Corpus,
+    MoodLabel,
+    SongRecord,
+    clean_text,
+    stratified_split,
+    synthesize_corpus,
+)
 from moodlyrics.errors import BaselineError
 
-from oracles import nb_brute_force_posterior, tokenize_like_baseline
+from oracles import (
+    nb_brute_force_posterior,
+    nb_posterior_loop,
+    nb_train_loops,
+    tokenize_like_baseline,
+)
 
 
 def corpus_from(docs):
@@ -145,6 +157,63 @@ class TestNbPredict:
         assert correct == len(test_split)
 
 
+def assert_matches_loop_oracle(corpus, alpha, queries):
+    """``nb_train`` and ``nb_predict`` give the loop oracles' bits: the
+    vocabulary in id order, priors, likelihoods and every posterior."""
+    model = nb_train(corpus, alpha=alpha)
+    vocabulary, log_priors, log_likelihood = nb_train_loops(corpus, alpha)
+    assert list(model.vocabulary.items()) == list(vocabulary.items())
+    assert np.array_equal(model.log_priors, log_priors)
+    assert np.array_equal(model.log_likelihood, log_likelihood)
+    for query in queries:
+        label, posterior = nb_predict(model, query)
+        expected = nb_posterior_loop(vocabulary, log_priors, log_likelihood, clean_text(query))
+        assert np.array_equal(posterior, expected), query
+        assert label is MoodLabel(int(np.argmax(expected)))
+
+
+class TestMatchesLoopOracle:
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 2.0])
+    def test_random_tiny_corpora(self, alpha):
+        rng = random.Random(int(alpha * 1000))
+        for _ in range(25):
+            corpus = random_tiny_corpus(rng)
+            queries = [rec.lyrics for rec in corpus] + ["", "unseen w0 never w1 W0"]
+            assert_matches_loop_oracle(corpus, alpha, queries)
+
+    def test_lyrics_that_clean_to_empty(self):
+        corpus = corpus_from(
+            [("x y", MoodLabel.HAPPY), ("। ॥ !?", MoodLabel.SAD), ("y z", MoodLabel.ROMANTIC),
+             ("z", MoodLabel.RELAXED), ("", MoodLabel.SAD)]
+        )
+        assert_matches_loop_oracle(corpus, 1.0, ["", "।", "x y z q", "q"])
+
+    def test_long_songs_and_queries(self):
+        rng = random.Random(29)
+        vocab = [f"w{i}" for i in range(300)]
+        # Zipf-like word draws, so likelihood rows span many magnitudes
+        weights = [1 / (rank + 1) for rank in range(len(vocab))]
+        docs = [(" ".join(rng.choices(vocab, weights, k=rng.randint(1000, 1500))), mood)
+                for mood in list(MoodLabel) * 3]
+        corpus = corpus_from(docs)
+        queries = [rec.lyrics for rec in corpus]
+        queries.append(" ".join(rng.choices(vocab + ["unseen", "other"], k=2000)))
+        for alpha in (1e-3, 1.0):
+            assert_matches_loop_oracle(corpus, alpha, queries)
+
+    def test_synthetic_bangla_corpus(self):
+        corpus = synthesize_corpus(seed=7, per_class=8)
+        queries = [rec.lyrics for rec in corpus] + ["ভালোবাসা প্রেম হৃদয়", "অচেনা শব্দ"]
+        assert_matches_loop_oracle(corpus, 0.5, queries)
+
+
+VALID_NB = (
+    b"moodlyrics-nb v1\nalpha\t1.0\nclasses\thappy\tsad\tromantic\trelaxed\n"
+    b"priors\t-1.4\t-1.3\t-1.2\t-1.6\nword\tx\t-1.0\t-0.5\t-0.25\t-2.0\n"
+    b"word\ty\t-1.5\t-1.5\t-1.5\t-1.5\n"
+)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact_predictions(self, tmp_path):
         corpus = synthesize_corpus(seed=17, per_class=5)
@@ -168,15 +237,32 @@ class TestSerialization:
             b"moodlyrics-nb v1\nalpha\t1.0\n\xff\xfe\n",
             b"moodlyrics-nb v1\nalpha\t1.0\nclasses\thappy\tsad\tromantic\trelaxed\n"
             b"priors\t-1.4\t-1.4\t-1.4\nword\tx\t-1.0\t-1.0\t-1.0\t-1.0\n",
+            VALID_NB.replace(b"happy\tsad\tromantic\trelaxed", b"relaxed\tromantic\tsad\thappy"),
+            VALID_NB.replace(b"alpha\t1.0", b"alpha\t-3.0"),
+            VALID_NB.replace(b"alpha\t1.0", b"alpha\t0.0"),
+            VALID_NB.replace(b"alpha\t1.0", b"smoothing\t1.0"),
+            VALID_NB.replace(b"alpha\t1.0", b"alpha\t1.0\t2.0"),
+            VALID_NB.replace(b"priors", b"prior"),
+            VALID_NB + b"word\tx\t-2.0\t-2.0\t-2.0\t-2.0\n",
         ],
         ids=["not-a-model", "format-line-only", "alpha-not-float", "not-utf8",
-             "three-priors"],
+             "three-priors", "classes-reordered", "alpha-negative", "alpha-zero",
+             "alpha-key-renamed", "alpha-two-values", "priors-key-renamed",
+             "word-repeated"],
     )
     def test_rejects_garbage_file(self, tmp_path, data):
         path = tmp_path / "bad.nb"
         path.write_bytes(data)
         with pytest.raises(BaselineError):
             load_nb(path)
+
+    def test_hand_written_file_loads(self, tmp_path):
+        # the file the garbage cases above edit one line of
+        model = load_nb(tmp_path / "model.nb", data=VALID_NB)
+        assert model.alpha == 1.0
+        assert list(model.vocabulary.items()) == [("x", 0), ("y", 1)]
+        assert np.array_equal(model.log_priors, [-1.4, -1.3, -1.2, -1.6])
+        assert np.array_equal(model.log_likelihood, [[-1.0, -0.5, -0.25, -2.0], [-1.5] * 4])
 
 
 def test_importing_baseline_leaves_the_transformer_unloaded():

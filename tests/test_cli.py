@@ -451,7 +451,8 @@ def _nb_field(nb_text: str, line: int, index: int, value: str) -> str:
      "model-hidden-float", "model-heads-bool", "tokenizer-length-float",
      "tokenizer-length-inf", "tokenizer-length-past-model", "vocab-hash-not-a-string",
      "tokenizer-null", "header-deeply-nested", "nb-priors-short", "nb-alpha-nan",
-     "nb-prior-nan", "nb-likelihood-inf", "model-heads-indivisible", "tokenizer-vocab-zero"],
+     "nb-prior-nan", "nb-likelihood-inf", "model-heads-indivisible", "tokenizer-vocab-zero",
+     "nb-classes-reordered", "nb-alpha-negative", "nb-word-repeated"],
 )
 def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     checkpoint = (trained / "checkpoint.ckpt").read_bytes()
@@ -463,6 +464,11 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
             "nb-alpha-nan": lambda text: _nb_field(text, 1, 1, "nan"),
             "nb-prior-nan": lambda text: _nb_field(text, 3, 1, "nan"),
             "nb-likelihood-inf": lambda text: _nb_field(text, 4, 2, "inf"),
+            "nb-classes-reordered":
+                lambda text: text.replace("happy\tsad\tromantic\trelaxed",
+                                          "relaxed\tromantic\tsad\thappy"),
+            "nb-alpha-negative": lambda text: _nb_field(text, 1, 1, "-3.0"),
+            "nb-word-repeated": lambda text: text + text.split("\n")[4] + "\n",
         }[which](nb_text), encoding="utf-8")
     elif which == "header-deeply-nested":
         bad.write_bytes(with_header_bytes(checkpoint, b"[" * 100_000))
