@@ -1,7 +1,7 @@
 """Command-line pipeline: ingest, analyze, train, eval, predict.
 
-Every command but ``predict`` writes artifacts and fills in a
-``RunManifest``: config snapshot, seeds, input hashes and metrics. ``main``
+Every command but ``predict`` writes artifacts and a ``RunManifest``:
+config snapshot, seeds, input hashes and metrics. ``main``
 is the one commit point: it resolves the output directory, runs the command
 against a hidden ``.partial-*`` staging directory inside it, and only when
 the command succeeds renames every staged file into place, records them as
@@ -33,6 +33,7 @@ from ._atomic import read_input, read_input_text, write_atomic, write_csv
 from ._config import parse_setting
 from .analytics import density_curve, emit_plot, freq_dist, lexical_stats
 from .corpus import (
+    SPLIT_NAMES,
     DropReport,
     MoodLabel,
     clean_text,
@@ -134,27 +135,30 @@ _SETTABLE = {
 } | {"alpha": (baseline.nb_train, "float")}
 
 
-def _read_settings(args, *, data: bytes | None = None) -> dict:
-    """The --config pairs (from ``data``, the file's bytes already read, when
-    given), then the --set ones (the last of a key wins), parsed as keyword
-    arguments of what takes them."""
+def _key_values(items) -> dict[str, str]:
+    """The stripped ``key → value`` pairs of ``(where, text)`` items, the last
+    of a key winning; an item with no ``=`` is an error naming ``where``."""
     pairs: dict[str, str] = {}
+    for where, text in items:
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise UsageError(f"{where}: expected key=value, got {text!r}")
+        pairs[key.strip()] = value.strip()
+    return pairs
+
+
+def _read_settings(args, *, data: bytes | None = None) -> dict:
+    """The --config lines (from ``data``, the file's bytes already read, when
+    given; blank and ``#`` lines skipped), then the --set items, as key=value
+    pairs parsed into keyword arguments of what takes them."""
+    lines = []
     if args.config:
         path = Path(args.config)
-        lines = read_input_text(path, "config file", UsageError, data=data).splitlines()
-        for lineno, line in enumerate(lines, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = stripped.partition("=")
-            pairs[key.strip()] = value.strip()
-    for item in args.set or []:
-        if "=" not in item:
-            raise UsageError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        pairs[key.strip()] = value.strip()
+        text = read_input_text(path, "config file", UsageError, data=data)
+        lines = [(f"{path}:{lineno}", stripped)
+                 for lineno, line in enumerate(text.splitlines(), 1)
+                 if (stripped := line.strip()) and not stripped.startswith("#")]
+    pairs = _key_values([*lines, *(("--set", item) for item in args.set or [])])
     routed: dict = {owner: {} for owner, _ in _SETTABLE.values()}
     for key, raw in pairs.items():
         if key == "seed":
@@ -168,13 +172,8 @@ def _read_settings(args, *, data: bytes | None = None) -> dict:
 
 def _parse_synthetic(spec: str) -> dict[str, int]:
     options = {"seed": 1, "per_class": 8}
-    for part in spec.split(","):
-        if not part.strip():
-            continue
-        if "=" not in part:
-            raise UsageError(f"--synthetic expects k=v pairs, got {part!r}")
-        key, _, value = part.partition("=")
-        key = key.strip()
+    parts = _key_values(("--synthetic", part) for part in spec.split(",") if part.strip())
+    for key, value in parts.items():
         if key not in options:
             raise UsageError(f"unknown --synthetic option {key!r}")
         options[key] = parse_setting("int", key, value)
@@ -339,15 +338,14 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
     print(f"{summary} test accuracy {rep.accuracy:.4f}")
 
 
-def _load_model(args) -> tuple:
-    """The --checkpoint model, from one read of the file: a Naive Bayes
-    model, or a transformer's (parameters, vocabulary, tokenizer settings),
-    and the SHA-256 of the bytes read. A transformer's vocabulary must match
-    the hash its checkpoint header pins."""
-    data = read_input(args.checkpoint, "checkpoint", UsageError)
-    digest = hashlib.sha256(data).hexdigest()
+def _load_model(args, run: RunManifest):
+    """The --checkpoint model, from one hashed read of the file: a Naive
+    Bayes model, or a transformer's (parameters, vocabulary, tokenizer
+    settings). A transformer's vocabulary must match the hash its checkpoint
+    header pins."""
+    data = _read_hashed(args.checkpoint, "checkpoint", UsageError, run)
     if data.startswith(baseline.NB_FORMAT.encode("utf-8")):
-        return baseline.load_nb(args.checkpoint, data=data), digest
+        return baseline.load_nb(args.checkpoint, data=data)
     if not data.startswith(CHECKPOINT_MAGIC):
         raise UsageError(f"unrecognized checkpoint format: {Path(args.checkpoint)}")
     params, vocab_hash, tok_config = load_checkpoint(args.checkpoint, data=data)
@@ -359,7 +357,7 @@ def _load_model(args) -> tuple:
             f"vocabulary hash mismatch: checkpoint expects {vocab_hash[:12]}..., "
             f"{args.vocab} has {vocab.sha256()[:12]}..."
         )
-    return (params, vocab, tok_config), digest
+    return params, vocab, tok_config
 
 
 def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
@@ -369,10 +367,9 @@ def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
         chosen = corpus
     else:
         splits = stratified_split(corpus, SPLIT_RATIOS, seeds["split"])
-        chosen = splits[("train", "val", "test").index(args.split)]
+        chosen = splits[SPLIT_NAMES.index(args.split)]
 
-    model, digest = _load_model(args)
-    run.inputs[str(args.checkpoint)] = digest
+    model = _load_model(args, run)
     matrix, rep = _score(model, chosen)
     report_text = evaluation.format_report(rep)
     write_atomic(out_dir / "report.txt", [report_text.encode("utf-8")])
@@ -384,7 +381,7 @@ def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
     run.metrics = {args.split: _metrics_dict(rep)}
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, run: RunManifest) -> int:
     if args.lyrics is not None:
         lyrics = args.lyrics
     else:
@@ -395,7 +392,7 @@ def cmd_predict(args) -> int:
             "warning: lyrics are empty after cleaning; prediction uses no content",
             file=sys.stderr,
         )
-    model, _ = _load_model(args)
+    model = _load_model(args, run)
     if isinstance(model, baseline.NaiveBayesModel):
         label, probs = baseline.nb_predict(model, lyrics, cleaned=cleaned)
     else:
@@ -449,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--input", required=True)
     p_eval.add_argument("--vocab", help="vocabulary file (transformer checkpoints)")
-    p_eval.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
+    p_eval.add_argument("--split", choices=(*SPLIT_NAMES, "all"), default="test")
     p_eval.add_argument("--out")
     p_eval.add_argument("--seed", type=int, default=42)
     p_eval.set_defaults(func=cmd_eval)
@@ -467,11 +464,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "predict":
-            return cmd_predict(args)
         started = time.perf_counter()
-        out_dir, staging = _resolve_out(args)
         run = RunManifest(args.command, argv)
+        if args.command == "predict":
+            return cmd_predict(args, run)
+        out_dir, staging = _resolve_out(args)
         # the commit point: the command writes into staging, which is renamed
         # into place only when it succeeds; a failure removes it unpublished
         with staging as staged:

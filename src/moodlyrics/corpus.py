@@ -31,6 +31,8 @@ from ._atomic import read_input_text, write_csv
 from .errors import CorpusError
 
 CSV_HEADER = ["title", "category", "lyrics", "mood"]
+# the names of the three splits, in the order of the split ratios
+SPLIT_NAMES = ("train", "val", "test")
 
 
 class MoodLabel(enum.IntEnum):
@@ -211,7 +213,8 @@ def mood_distribution(corpus: Corpus) -> MoodDistribution:
 def stratified_split(
     corpus: Corpus, ratios: tuple[float, ...], seed: int
 ) -> tuple[Corpus, ...]:
-    """Split into train/val/test preserving per-class proportions.
+    """Split into the ``SPLIT_NAMES`` splits, one ratio each, preserving
+    per-class proportions; each split's provenance ends in its name.
 
     Per-class allocation uses largest-remainder rounding with a running
     carry across classes, so overall split sizes match the ratios exactly
@@ -219,11 +222,13 @@ def stratified_split(
     one record. Deterministic for a fixed seed; splits are disjoint and
     cover the corpus.
     """
+    n_splits = len(SPLIT_NAMES)
+    if len(ratios) != n_splits:
+        raise CorpusError(f"need {n_splits} split ratios, got {ratios}")
     if any(r <= 0 for r in ratios):
         raise CorpusError(f"split ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise CorpusError(f"split ratios must sum to 1, got {sum(ratios)}")
-    n_splits = len(ratios)
     by_class: dict[MoodLabel, list[int]] = {}
     for i, rec in enumerate(corpus):
         by_class.setdefault(rec.mood, []).append(i)
@@ -253,18 +258,10 @@ def stratified_split(
         for j, count in enumerate(counts):
             split_indices[j].extend(members[start : start + count])
             start += count
-    names = ("train", "val", "test")
-    splits = []
-    for j, indices in enumerate(split_indices):
-        indices.sort()
-        name = names[j] if j < len(names) else f"split{j}"
-        splits.append(
-            Corpus(
-                tuple(corpus[i] for i in indices),
-                f"{corpus.provenance}[{name}]",
-            )
-        )
-    return tuple(splits)
+    return tuple(
+        Corpus(tuple(corpus[i] for i in sorted(indices)), f"{corpus.provenance}[{name}]")
+        for name, indices in zip(SPLIT_NAMES, split_indices)
+    )
 
 
 # Keyword pools for the synthetic corpus. Each mood owns an exclusive pool so

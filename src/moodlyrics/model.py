@@ -536,10 +536,10 @@ def classify(params: Parameters, examples: list[EncodedExample]) -> np.ndarray:
 def predict(
     params: Parameters, example: EncodedExample
 ) -> tuple[MoodLabel, np.ndarray]:
-    """Most probable mood and the full probability vector. Ties break
-    toward the lowest class index."""
-    probs = softmax(classify(params, [example]))[0]
-    return MoodLabel(int(np.argmax(probs))), probs
+    """The mood of the largest logit, as ``eval`` labels it (ties break
+    toward the lowest class index), and the softmax of the logits."""
+    logits = classify(params, [example])[0]
+    return MoodLabel(int(np.argmax(logits))), softmax(logits)
 
 
 def save_checkpoint(
@@ -580,8 +580,8 @@ def load_checkpoint(
     path: str | Path, *, data: bytes | None = None
 ) -> tuple[Parameters, str, TokenizerConfig]:
     """Read a checkpoint (or ``data``, its bytes already read), validating
-    magic, version, array shapes against the stored config, and that every
-    value is finite.
+    magic, version, that the header lists the stored config's arrays in its
+    order, each once, and that every value is finite; shapes are the config's.
 
     Returns (parameters, vocab hash, tokenizer settings).
     """
@@ -598,7 +598,7 @@ def load_checkpoint(
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         config = config_from_json(ModelConfig, header["model"])
-        listed = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
+        listed = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
         vocab_hash = header["vocab_sha256"]
         if not isinstance(vocab_hash, str):
             raise TypeError(f"vocab_sha256 must be a string, got {vocab_hash!r}")
@@ -611,21 +611,20 @@ def load_checkpoint(
             ModelError, TokenizerError, UsageError) as exc:
         raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
     # one entry past the list tells a longer config, however many layers it has
-    expected = dict(islice(_param_shape_items(config), len(listed) + 1))
+    expected = list(islice(_param_shape_items(config), len(listed) + 1))
     if listed != expected:
         raise ModelError(f"checkpoint arrays do not match the stored config: {path}")
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + header_len
-    for entry in header["arrays"]:
-        shape = expected[entry["name"]]
+    for name, shape in expected:
         count = int(np.prod(shape))
         raw = data[offset : offset + 4 * count]
         if len(raw) != 4 * count:
             raise ModelError(f"truncated checkpoint: {path}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if not np.isfinite(arr).all():
-            raise ModelError(f"non-finite value in checkpoint array {entry['name']}: {path}")
-        arrays[entry["name"]] = arr
+            raise ModelError(f"non-finite value in checkpoint array {name}: {path}")
+        arrays[name] = arr
         offset += 4 * count
     if offset != len(data):
         raise ModelError(f"trailing bytes in checkpoint: {path}")

@@ -452,7 +452,8 @@ def _nb_field(nb_text: str, line: int, index: int, value: str) -> str:
      "tokenizer-length-inf", "tokenizer-length-past-model", "vocab-hash-not-a-string",
      "tokenizer-null", "header-deeply-nested", "nb-priors-short", "nb-alpha-nan",
      "nb-prior-nan", "nb-likelihood-inf", "model-heads-indivisible", "tokenizer-vocab-zero",
-     "nb-classes-reordered", "nb-alpha-negative", "nb-word-repeated"],
+     "nb-classes-reordered", "nb-alpha-negative", "nb-word-repeated",
+     "arrays-swapped", "array-listed-twice"],
 )
 def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     checkpoint = (trained / "checkpoint.ckpt").read_bytes()
@@ -472,6 +473,10 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
         }[which](nb_text), encoding="utf-8")
     elif which == "header-deeply-nested":
         bad.write_bytes(with_header_bytes(checkpoint, b"[" * 100_000))
+    elif which == "array-listed-twice":
+        # the last array, head.b, listed again, with a second copy's bytes
+        bad.write_bytes(with_header(checkpoint, lambda h: h["arrays"].append(h["arrays"][-1]))
+                        + struct.pack("<4f", 7, 7, 7, 7))
     else:
         edit = {
             "tokenizer-unknown-key": lambda h: h["tokenizer"].update(lowercsae=True),
@@ -495,6 +500,9 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
             "model-heads-indivisible":
                 lambda h: h["model"].update(hidden_size=64, num_heads=3),
             "tokenizer-vocab-zero": lambda h: h["tokenizer"].update(vocab_size=0),
+            # the index alone: the data still holds tok_emb first
+            "arrays-swapped":
+                lambda h: h.update(arrays=[h["arrays"][1], h["arrays"][0], *h["arrays"][2:]]),
         }[which]
         bad.write_bytes(with_header(checkpoint, edit))
     code = run(["predict", "--checkpoint", bad, "--vocab", trained / "vocab.txt",
@@ -574,6 +582,60 @@ def test_fixed_keys_and_unparsable_values_exit_2(corpus_csv, tmp_path, capsys, k
                 "--set", f"{key}=maybe", "--out", tmp_path / "o"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("where", ["config", "set", "synthetic"])
+def test_item_without_equals_exits_2(corpus_csv, tmp_path, capsys, where):
+    """A --config line, a --set item and a --synthetic part share one
+    key=value grammar, and one error naming where the item came from."""
+    config = tmp_path / "run.cfg"
+    config.write_text("# desk settings\n\nalpha = 0.5\n  alpha 2  \n", encoding="utf-8")
+    train = ["train", "--input", corpus_csv, "--model", "nb"]
+    argv, message = {
+        "config": ([*train, "--config", config],
+                   f"{config}:4: expected key=value, got 'alpha 2'"),
+        "set": ([*train, "--set", "alpha=2", "--set", "alpha"],
+                "--set: expected key=value, got 'alpha'"),
+        "synthetic": (["ingest", "--synthetic", "seed=1, per_class"],
+                      "--synthetic: expected key=value, got ' per_class'"),
+    }[where]
+    code = run([*argv, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test", "all"])
+def test_eval_scores_the_named_split(corpus_csv, nb_model, tmp_path, monkeypatch, split):
+    scored = []
+    score = cli._score
+
+    def recording_score(model, chosen):
+        scored.append(chosen)
+        return score(model, chosen)
+
+    monkeypatch.setattr(cli, "_score", recording_score)
+    assert run(["eval", "--checkpoint", nb_model, "--input", corpus_csv,
+                "--split", split, "--out", tmp_path / "o"]) == 0
+    [chosen] = scored
+    assert chosen.provenance == (str(corpus_csv) if split == "all"
+                                 else f"{corpus_csv}[{split}]")
+
+
+def test_eval_split_all_never_splits(nb_model, tmp_path, capsys):
+    """A class of 2 songs cannot fill 3 splits, but ``--split all`` scores
+    the whole corpus without splitting it."""
+    corpus = synthesize_corpus(seed=3, per_class=3)
+    small = tmp_path / "small.csv"
+    # the last record is the third Relaxed song; every other class keeps 3
+    save_corpus(dataclasses.replace(corpus, records=corpus.records[:-1]), small)
+    argv = ["eval", "--checkpoint", nb_model, "--input", small, "--out", tmp_path / "o"]
+    assert run([*argv, "--split", "all"]) == 0
+    capsys.readouterr()
+    code = run([*argv, "--split", "test"])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert "class Relaxed has 2 members, fewer than 3 splits" in err
 
 
 @pytest.mark.parametrize(

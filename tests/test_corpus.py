@@ -274,6 +274,10 @@ class TestStratifiedSplit:
             stratified_split(corpus, (0.5, 0.4, 0.2), seed=0)
         with pytest.raises(CorpusError):
             stratified_split(corpus, (0.9, -0.1, 0.2), seed=0)
+        with pytest.raises(CorpusError):
+            stratified_split(corpus, (0.5, 0.5), seed=0)
+        with pytest.raises(CorpusError):
+            stratified_split(corpus, (0.4, 0.3, 0.2, 0.1), seed=0)
 
     def test_partition_and_per_class_deviation(self):
         rng = random.Random(5)

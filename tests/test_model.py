@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moodlyrics import _kernels
+from moodlyrics import _kernels, model
 from moodlyrics.corpus import MoodLabel
 from moodlyrics.errors import ModelError
 from moodlyrics.model import (
@@ -655,6 +655,22 @@ class TestPredict:
         label_b, probs_b = predict(shifted, example)
         assert label_a is label_b
         assert np.allclose(probs_a, probs_b, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "logits",
+        [[0.0, 1.4e-45, -1.0, -2.0], [1e-9, np.nextafter(1e-9, 1.0), 0.0, 0.0]],
+        ids=["subnormal-gap", "one-ulp-gap"],
+    )
+    def test_labels_by_the_logits_as_eval_does(self, monkeypatch, tiny_params, logits):
+        """Logits 0 and 1 round to the same float64 probability, but the
+        label is the logits' argmax, as ``eval`` takes it."""
+        logits = np.array([logits])
+        probs = softmax(logits)[0]
+        assert probs[0] == probs[1]
+        monkeypatch.setattr(model, "classify", lambda params, examples: logits.copy())
+        label, got = predict(tiny_params, None)
+        assert label is MoodLabel.SAD
+        assert np.array_equal(got, probs)
 
 
 class TestCheckpoint:
