@@ -125,7 +125,9 @@ def _resolve_out(args) -> tuple[Path, tempfile.TemporaryDirectory]:
 
 # each key a config file or --set may give, with what takes it and its type;
 # the run fixes the seeds (--seed), the model's vocabulary size and length
-# (the tokenizer's) and its one output per mood
+# (the tokenizer's) and its one output per mood. _READERS names the takers
+# each --model reads, 17 keys for bert and alpha alone for nb; train refuses
+# any other key
 _SETTABLE = {
     f.name: (cls, f.type)
     for cls, fixed in ((TokenizerConfig, ()),
@@ -133,6 +135,7 @@ _SETTABLE = {
                        (TrainConfig, ("seed",)))
     for f in fields(cls) if f.name not in fixed
 } | {"alpha": (baseline.nb_train, "float")}
+_READERS = {"bert": (TokenizerConfig, ModelConfig, TrainConfig), "nb": (baseline.nb_train,)}
 
 
 def _key_values(items) -> dict[str, str]:
@@ -150,7 +153,8 @@ def _key_values(items) -> dict[str, str]:
 def _read_settings(args, *, data: bytes | None = None) -> dict:
     """The --config lines (from ``data``, the file's bytes already read, when
     given; blank and ``#`` lines skipped), then the --set items, as key=value
-    pairs parsed into keyword arguments of what takes them."""
+    pairs parsed into keyword arguments of what takes them. Every taker has
+    an entry; those given a key come first, in the order of their first key."""
     lines = []
     if args.config:
         path = Path(args.config)
@@ -159,15 +163,15 @@ def _read_settings(args, *, data: bytes | None = None) -> dict:
                  for lineno, line in enumerate(text.splitlines(), 1)
                  if (stripped := line.strip()) and not stripped.startswith("#")]
     pairs = _key_values([*lines, *(("--set", item) for item in args.set or [])])
-    routed: dict = {owner: {} for owner, _ in _SETTABLE.values()}
+    routed: dict = {}
     for key, raw in pairs.items():
         if key == "seed":
             raise UsageError("set the seed with the --seed flag, not the config file")
         if key not in _SETTABLE:
             raise UsageError(f"unknown config key {key!r}")
         owner, annotation = _SETTABLE[key]
-        routed[owner][key] = parse_setting(annotation, key, raw)
-    return routed
+        routed.setdefault(owner, {})[key] = parse_setting(annotation, key, raw)
+    return routed | {owner: {} for owner, _ in _SETTABLE.values() if owner not in routed}
 
 
 def _parse_synthetic(spec: str) -> dict[str, int]:
@@ -284,10 +288,17 @@ def _metrics_dict(rep: evaluation.EvalReport) -> dict:
 
 
 def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
+    """Split the corpus and train ``--model`` on it. A setting that the model
+    does not read (``_READERS``) is refused before the split, naming every
+    such key."""
     corpus, _ = _read_corpus(args.input, run)
     seeds = _fan_out_seeds(args.seed, run)
     config = _read_hashed(args.config, "config file", UsageError, run) if args.config else None
     settings = _read_settings(args, data=config)
+    unread = [key for owner, given in settings.items()
+              if owner not in _READERS[args.model] for key in given]
+    if unread:
+        raise UsageError(f"--model {args.model} does not read {', '.join(unread)}")
     train_split, val_split, test_split = stratified_split(
         corpus, SPLIT_RATIOS, seeds["split"]
     )
@@ -341,10 +352,14 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
 def _load_model(args, run: RunManifest):
     """The --checkpoint model, from one hashed read of the file: a Naive
     Bayes model, or a transformer's (parameters, vocabulary, tokenizer
-    settings). A transformer's vocabulary must match the hash its checkpoint
-    header pins."""
+    settings). Only a transformer reads --vocab, and it must match the hash
+    its checkpoint header pins; a Naive Bayes file given --vocab is refused
+    before the vocabulary is opened."""
     data = _read_hashed(args.checkpoint, "checkpoint", UsageError, run)
     if data.startswith(baseline.NB_FORMAT.encode("utf-8")):
+        if args.vocab is not None:
+            raise UsageError(f"--vocab is for transformer checkpoints; "
+                             f"{Path(args.checkpoint)} is a Naive Bayes model")
         return baseline.load_nb(args.checkpoint, data=data)
     if not data.startswith(CHECKPOINT_MAGIC):
         raise UsageError(f"unrecognized checkpoint format: {Path(args.checkpoint)}")
@@ -445,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="classification report and confusion matrix")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--input", required=True)
-    p_eval.add_argument("--vocab", help="vocabulary file (transformer checkpoints)")
+    p_eval.add_argument("--vocab", help="vocabulary file (transformer checkpoints only)")
     p_eval.add_argument("--split", choices=(*SPLIT_NAMES, "all"), default="test")
     p_eval.add_argument("--out")
     p_eval.add_argument("--seed", type=int, default=42)
@@ -453,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict the mood of one lyric")
     p_predict.add_argument("--checkpoint", required=True)
-    p_predict.add_argument("--vocab", help="vocabulary file (transformer checkpoints)")
+    p_predict.add_argument("--vocab", help="vocabulary file (transformer checkpoints only)")
     group = p_predict.add_mutually_exclusive_group(required=True)
     group.add_argument("--lyrics", help="lyrics text")
     group.add_argument("--file", help="read lyrics from a file")

@@ -165,9 +165,8 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return _kernels.softmax_inplace(v)
 
 
-def _stack_batch(
-    batch, config: ModelConfig, dtype
-) -> tuple[np.ndarray, np.ndarray]:
+def _stack_batch(batch, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's stacked ids and integer attention mask, checked."""
     if len(batch) == 0:
         raise ModelError("forward pass needs a nonempty batch")
     ids = np.stack([ex.ids for ex in batch])
@@ -184,7 +183,7 @@ def _stack_batch(
         )
     if (mask.sum(axis=1) == 0).any():
         raise ModelError("attention mask row with no unmasked positions")
-    return ids, mask.astype(dtype)
+    return ids, mask
 
 
 def _bucket_lengths(mask: np.ndarray) -> np.ndarray:
@@ -239,18 +238,18 @@ def forward(
     if mode not in ("train", "eval"):
         raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
-    ids, maskf = _stack_batch(batch, cfg, params.dtype)
+    ids, mask = _stack_batch(batch, cfg)
     use_dropout = mode == "train" and cfg.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ModelError("train-mode forward with dropout needs an rng")
 
-    lengths = _bucket_lengths(maskf)
+    lengths = _bucket_lengths(mask)
     logits = np.empty((len(batch), cfg.num_classes), dtype=params.dtype)
     buckets: list[BucketTrace] = []
     for length in np.unique(lengths):
         index = np.flatnonzero(lengths == length)
         bucket, bucket_logits = _bucket_forward(
-            params, index, ids[index, :length], maskf[index, :length],
+            params, index, ids[index, :length], mask[index, :length],
             rng if use_dropout else None,
         )
         logits[index] = bucket_logits
@@ -330,7 +329,7 @@ def _add_norm_backward(
 
 
 def _attention(
-    params: Parameters, prefix: str, xq: np.ndarray, x: np.ndarray, maskf: np.ndarray
+    params: Parameters, prefix: str, xq: np.ndarray, x: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """Multi-head attention of the [B, lq, H] query rows ``xq`` (leading rows
     of ``x``) over keys and values from all [B, b, H] rows, [B, b] key mask."""
@@ -343,7 +342,7 @@ def _attention(
     )
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores *= params.dtype.type(1.0 / np.sqrt(cfg.head_size))
-    probs = _kernels.masked_softmax(scores, maskf)
+    probs = _kernels.masked_softmax(scores, mask)
     # each head's P.V lands in its columns of the [B, lq, heads, head] context
     ctx = np.empty((*xq.shape[:2], cfg.num_heads, cfg.head_size), dtype=probs.dtype)
     np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
@@ -396,13 +395,13 @@ def _ffn_backward(
 
 
 def _layer_forward(
-    params: Parameters, prefix: str, xq: np.ndarray, x: np.ndarray, maskf: np.ndarray, rng
+    params: Parameters, prefix: str, xq: np.ndarray, x: np.ndarray, mask: np.ndarray, rng
 ) -> tuple[np.ndarray, tuple]:
     """One encoder layer over the query rows ``xq``, leading rows of ``x``:
     LayerNorm(xq + Dropout(Sublayer(xq))) for attention over all of ``x``,
     then for the feed-forward sublayer."""
     rate = params.config.dropout_rate
-    attn_out, attn = _attention(params, f"{prefix}.attn", xq, x, maskf)
+    attn_out, attn = _attention(params, f"{prefix}.attn", xq, x, mask)
     attn_out, drop1 = _dropout(attn_out, rate, rng, x.shape)
     y1, norm1 = _add_norm(params, f"{prefix}.ln1", xq, attn_out)
     ffn_out, ffn = _ffn(params, f"{prefix}.ffn", y1)
@@ -429,7 +428,7 @@ def _bucket_forward(
     params: Parameters,
     index: np.ndarray,
     ids: np.ndarray,
-    maskf: np.ndarray,
+    mask: np.ndarray,
     rng: np.random.Generator | None,
 ) -> tuple[BucketTrace, np.ndarray]:
     """Embedding, encoder layers and head over examples that share one
@@ -441,7 +440,7 @@ def _bucket_forward(
     layers = []
     for i in range(cfg.num_layers):
         xq = x[:, :1] if i == cfg.num_layers - 1 else x  # the head reads only [CLS]
-        x, cache = _layer_forward(params, f"layers.{i}", xq, x, maskf, rng)
+        x, cache = _layer_forward(params, f"layers.{i}", xq, x, mask, rng)
         layers.append(cache)
     h_cls = x[:, 0, :]
     logits = _linear(params, "head", "", h_cls[:, None, :])[:, 0, :]

@@ -87,10 +87,8 @@ class TrainConfig:
 class ParamGroup:
     """Parameters that share a dtype and a decay rule, packed into one flat
     buffer, with gradient and moment buffers of the same size and the
-    update's scratch pair of at most ADAM_BLOCK elements. ``names`` lists
-    the packed arrays in parameter order."""
+    update's scratch pair of at most ADAM_BLOCK elements."""
 
-    names: list[str]
     decayed: bool
     param: np.ndarray
     grad: np.ndarray
@@ -129,7 +127,7 @@ def init_adam_state(params: Parameters) -> AdamState:
         flat = np.concatenate([params[name].ravel() for name in names])
         block = min(flat.size, ADAM_BLOCK)
         group = ParamGroup(
-            names, decayed, flat, np.zeros_like(flat), np.zeros_like(flat),
+            decayed, flat, np.zeros_like(flat), np.zeros_like(flat),
             np.zeros_like(flat), (np.empty(block, flat.dtype), np.empty(block, flat.dtype)),
         )
         offset = 0

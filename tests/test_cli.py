@@ -584,6 +584,42 @@ def test_fixed_keys_and_unparsable_values_exit_2(corpus_csv, tmp_path, capsys, k
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "model, settings, unread",
+    [("nb", ["--set", "epochs=3", "--set", "hidden_size=8"], "epochs, hidden_size"),
+     ("nb", ["--set", "class_weights=1,2,3"], "class_weights"),
+     ("nb", ["--config", "run.cfg"], "lowercase"),
+     ("bert", ["--set", "alpha=-5"], "alpha")],
+    ids=["nb-set", "nb-invalid-class-weights", "nb-config-file", "bert-alpha"],
+)
+def test_setting_the_model_does_not_read_exits_2(corpus_csv, tmp_path, monkeypatch, capsys,
+                                                 model, settings, unread):
+    """A key that only the other model reads is refused before any training,
+    whatever its value, naming each such key."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("lowercase=true\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run(["train", "--input", corpus_csv, "--model", model, *settings, "--out", out])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert err == f"error: --model {model} does not read {unread}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_vocab_with_naive_bayes_checkpoint_exits_2(corpus_csv, nb_model, tmp_path, capsys,
+                                                  command):
+    """Only a transformer reads --vocab; a Naive Bayes file refuses it before
+    the vocabulary is opened, so a missing one is not what is named."""
+    missing = tmp_path / "missing_vocab.txt"
+    argv = {"eval": ["eval", "--input", corpus_csv, "--out", tmp_path / "o"],
+            "predict": ["predict", "--lyrics", "ভালোবাসা"]}[command]
+    code = run([*argv, "--checkpoint", nb_model, "--vocab", missing])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert str(nb_model) in err and str(missing) not in err
+
+
 @pytest.mark.parametrize("where", ["config", "set", "synthetic"])
 def test_item_without_equals_exits_2(corpus_csv, tmp_path, capsys, where):
     """A --config line, a --set item and a --synthetic part share one
@@ -667,13 +703,15 @@ def test_each_input_file_is_read_once(corpus_csv, trained, nb_model, tmp_path,
                                       monkeypatch, which):
     config = tmp_path / "train.cfg"
     config.write_text("epochs=1\n", encoding="utf-8")
+    nb_config = tmp_path / "nb.cfg"
+    nb_config.write_text("alpha=0.5\n", encoding="utf-8")
     checkpoint, vocab = trained / "checkpoint.ckpt", trained / "vocab.txt"
     out = ["--out", tmp_path / "o"]
     argv, inputs = {
         "ingest": (["ingest", "--input", corpus_csv, *out], [corpus_csv]),
         "analyze": (["analyze", "--input", corpus_csv, *out], [corpus_csv]),
-        "train-nb": (["train", "--model", "nb", "--input", corpus_csv, "--config", config,
-                      *out], [corpus_csv, config]),
+        "train-nb": (["train", "--model", "nb", "--input", corpus_csv, "--config", nb_config,
+                      *out], [corpus_csv, nb_config]),
         "train-bert": (["train", "--model", "bert", "--input", corpus_csv,
                         "--config", config, *BERT_FLAGS, *out], [corpus_csv, config]),
         "eval-bert": (["eval", "--checkpoint", checkpoint, "--vocab", vocab,
