@@ -67,7 +67,6 @@ def lexical_stats(
 def density_curve(
     corpus: Corpus,
     bin_width: int = 25,
-    stopwords: frozenset[str] = frozenset(),
     *,
     stats: list[LexicalStats] | None = None,
 ) -> list[tuple[int, float]]:
@@ -76,15 +75,14 @@ def density_curve(
     Bins are half-open intervals [k*bin_width, (k+1)*bin_width); each point
     is one song. Only occupied bins appear, labeled by their lower edge.
     ``stats``, the songs' ``lexical_stats`` already computed in corpus
-    order, are used as given instead of being computed again (so
-    ``stopwords`` is not read).
+    order, are used as given instead of being computed again.
     """
     if len(corpus) == 0:
         raise AnalyticsError("cannot compute a density curve on an empty corpus")
     if bin_width < 1:
         raise AnalyticsError(f"bin_width must be >= 1, got {bin_width}")
     if stats is None:
-        stats = [lexical_stats(rec, stopwords) for rec in corpus]
+        stats = [lexical_stats(rec) for rec in corpus]
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for song in stats:

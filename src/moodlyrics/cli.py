@@ -8,9 +8,9 @@ the command succeeds renames every staged file into place, records them as
 the manifest's outputs (sorted by name) and writes ``manifest.json`` last.
 A failed command removes the staging directory and leaves the output
 directory as it was. Exit codes: 0 success, 1 internal error, 2 user/input
-error or out of memory. All randomness fans out from a single ``--seed`` by
-a fixed derivation. ``MOODLYRICS_OUT`` overrides the default output
-directory.
+error or out of memory. Each seed a command reads is derived from the one
+``--seed`` where it is read, and only those are recorded. ``MOODLYRICS_OUT``
+overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -96,17 +96,17 @@ def _read_corpus(path: str, run: RunManifest) -> tuple:
     return load_corpus(path, data=_read_hashed(path, "corpus file", CorpusError, run))
 
 
-def _fan_out_seeds(seed: int, run: RunManifest) -> dict[str, int]:
-    """Fixed derivation of sub-seeds from the single --seed flag."""
+def _derive_seed(args, name: str, run: RunManifest) -> int:
+    """The ``name`` seed a command reads, recorded in the run with --seed (42
+    when not given): child 0, 1 or 2 of ``SeedSequence(seed).spawn(3)`` for
+    "split", "init" or "train"."""
+    seed = 42 if args.seed is None else args.seed
     if seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {seed}")
-    children = np.random.SeedSequence(seed).spawn(3)
-    names = ("split", "init", "train")
+    child = np.random.SeedSequence(seed).spawn(3)[("split", "init", "train").index(name)]
     run.seed = seed
-    run.derived_seeds = {
-        name: int(child.generate_state(1)[0]) for name, child in zip(names, children)
-    }
-    return run.derived_seeds
+    run.derived_seeds[name] = int(child.generate_state(1)[0])
+    return run.derived_seeds[name]
 
 
 def _resolve_out(args) -> tuple[Path, tempfile.TemporaryDirectory]:
@@ -292,7 +292,6 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
     does not read (``_READERS``) is refused before the split, naming every
     such key."""
     corpus, _ = _read_corpus(args.input, run)
-    seeds = _fan_out_seeds(args.seed, run)
     config = _read_hashed(args.config, "config file", UsageError, run) if args.config else None
     settings = _read_settings(args, data=config)
     unread = [key for owner, given in settings.items()
@@ -300,7 +299,7 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
     if unread:
         raise UsageError(f"--model {args.model} does not read {', '.join(unread)}")
     train_split, val_split, test_split = stratified_split(
-        corpus, SPLIT_RATIOS, seeds["split"]
+        corpus, SPLIT_RATIOS, _derive_seed(args, "split", run)
     )
 
     if args.model == "nb":
@@ -310,13 +309,13 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
         summary = "naive bayes:"
     else:
         tok_config = TokenizerConfig(**settings[TokenizerConfig])
-        train_config = TrainConfig(seed=seeds["train"], **settings[TrainConfig])
+        train_config = TrainConfig(seed=_derive_seed(args, "train", run), **settings[TrainConfig])
         vocab = train_wordpiece(train_split, tok_config)
         vocab.save(out_dir / "vocab.txt")
         model_config = ModelConfig(
             vocab_size=len(vocab),
             max_positions=tok_config.max_sequence_length,
-            seed=seeds["init"],
+            seed=_derive_seed(args, "init", run),
             **settings[ModelConfig],
         )
         best_params, history = train(
@@ -377,11 +376,12 @@ def _load_model(args, run: RunManifest):
 
 def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
     corpus, _ = _read_corpus(args.input, run)
-    seeds = _fan_out_seeds(args.seed, run)
     if args.split == "all":
+        if args.seed is not None:
+            raise UsageError("--split all does not read --seed")
         chosen = corpus
     else:
-        splits = stratified_split(corpus, SPLIT_RATIOS, seeds["split"])
+        splits = stratified_split(corpus, SPLIT_RATIOS, _derive_seed(args, "split", run))
         chosen = splits[SPLIT_NAMES.index(args.split)]
 
     model = _load_model(args, run)
@@ -454,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override one config key (repeatable)")
     p_train.add_argument("--out")
-    p_train.add_argument("--seed", type=int, default=42)
+    p_train.add_argument("--seed", type=int, help="seeds the split, and for --model bert "
+                         "the initialization, shuffling and dropout too (default 42)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="classification report and confusion matrix")
@@ -463,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--vocab", help="vocabulary file (transformer checkpoints only)")
     p_eval.add_argument("--split", choices=(*SPLIT_NAMES, "all"), default="test")
     p_eval.add_argument("--out")
-    p_eval.add_argument("--seed", type=int, default=42)
+    p_eval.add_argument("--seed", type=int, help="seeds the split (default 42); "
+                        "--split all reads no seed and refuses it")
     p_eval.set_defaults(func=cmd_eval)
 
     p_predict = sub.add_parser("predict", help="predict the mood of one lyric")

@@ -472,11 +472,6 @@ def softmax_cross_entropy(
     return float(losses @ weights), d_logits
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, class_weights=None) -> float:
-    """The loss of ``softmax_cross_entropy``."""
-    return softmax_cross_entropy(logits, labels, class_weights)[0]
-
-
 def backward(
     params: Parameters,
     trace: ForwardTrace,

@@ -25,9 +25,9 @@ from .model import (
     Parameters,
     backward,
     classify,
-    cross_entropy,
     forward,
     save_checkpoint,
+    softmax_cross_entropy,
 )
 from .tokenizer import EncodedExample, TokenizerConfig, Vocabulary, encode_corpus
 
@@ -219,7 +219,7 @@ def evaluate(params: Parameters, examples: list[EncodedExample]) -> tuple[float,
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
     logits = classify(params, examples)
     correct = int((logits.argmax(axis=1) == labels).sum())
-    return cross_entropy(logits, labels), correct / len(examples)
+    return softmax_cross_entropy(logits, labels)[0], correct / len(examples)
 
 
 def train(

@@ -12,7 +12,7 @@ import numpy as np
 
 from moodlyrics import trainer
 from moodlyrics.errors import TrainerError
-from moodlyrics.model import Parameters, backward, cross_entropy, forward
+from moodlyrics.model import Parameters, backward, forward, softmax_cross_entropy
 from moodlyrics.tokenizer import EncodedExample
 
 Series = tuple[str, list[tuple[float, float]]]
@@ -74,7 +74,7 @@ def gradient_check(
         trace = forward(
             params, batch, mode="train", rng=np.random.default_rng(dropout_seed)
         )
-        return cross_entropy(trace.logits, labels, class_weights)
+        return softmax_cross_entropy(trace.logits, labels, class_weights)[0]
 
     trace = forward(
         params, batch, mode="train", rng=np.random.default_rng(dropout_seed)

@@ -7,9 +7,10 @@ oracles count one word row and add one log-likelihood row at a time, the
 WordPiece oracle recounts every pair on every merge, the segmentation
 oracle tries every end position from the end of the word, the encoder
 oracle runs one example at full length with every query row in every
-layer, the kernel oracles (masked softmax, GELU, layer norm and their
-gradients, AdamW) evaluate each textbook expression with a fresh array per
-operation, and the CSV builder writes files by hand.
+layer, the density-curve oracle scans every song for every bin, the kernel
+oracles (masked softmax, GELU, layer norm and their gradients, AdamW)
+evaluate each textbook expression with a fresh array per operation, and
+the CSV builder writes files by hand.
 """
 
 import unicodedata
@@ -102,6 +103,24 @@ def nb_posterior_loop(
         if row is not None:
             scores += log_likelihood[row]
     return softmax_inplace(scores)
+
+
+def density_curve_by_bin(corpus, bin_width: int, stopwords=frozenset()) -> list:
+    """(bin start, mean lexical density) for each occupied bin, every bin
+    from 0 to the largest unique-word count, each mean taken over a fresh
+    scan of all songs (corpus order) for those whose unique count falls in
+    [start, start + bin_width)."""
+    points = []
+    for rec in corpus:
+        words = rec.cleaned.split()
+        content = len([w for w in words if w not in stopwords])
+        points.append((len(set(words)), content / len(words)))
+    curve = []
+    for start in range(0, max(unique for unique, _ in points) + 1, bin_width):
+        inside = [density for unique, density in points if start <= unique < start + bin_width]
+        if inside:
+            curve.append((start, sum(inside) / len(inside)))
+    return curve
 
 
 def write_counts_csv(path: Path, counts: dict[str, int]) -> Path:

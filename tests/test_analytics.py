@@ -12,6 +12,7 @@ from moodlyrics.corpus import Corpus, MoodLabel, SongRecord
 from moodlyrics.errors import AnalyticsError
 
 from helpers import read_plot_csv
+from oracles import density_curve_by_bin
 
 
 def song(lyrics, title="t"):
@@ -97,7 +98,7 @@ class TestDensityCurve:
         stats = [lexical_stats(rec, stopwords) for rec in synth32]
         assert any(song.lexical_density < 1.0 for song in stats)
         for bin_width in (1, 2, 25):
-            assert density_curve(synth32, bin_width, stats=stats) == density_curve(
+            assert density_curve(synth32, bin_width, stats=stats) == density_curve_by_bin(
                 synth32, bin_width, stopwords
             )
 

@@ -33,6 +33,9 @@ from moodlyrics.model import ModelConfig
 from moodlyrics.tokenizer import TokenizerConfig
 from moodlyrics.trainer import TrainConfig
 
+# the split, init and train seeds that --seed 42 derives, in that order
+SEEDS_42 = {"split": 2684470948, "init": 4091952314, "train": 233227757}
+
 BERT_FLAGS = [
     "--set", "epochs=3", "--set", "num_layers=1", "--set", "hidden_size=16",
     "--set", "max_sequence_length=24", "--set", "vocab_size=400",
@@ -165,7 +168,6 @@ class TestTrain:
             assert (out / name).is_file(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["metrics"]["best_epoch"] >= 1
-        assert manifest["derived_seeds"].keys() == {"split", "init", "train"}
 
     def test_unknown_model_exits_2(self, corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -832,15 +834,37 @@ class TestManifests:
             ["train", "--model", "bert", "--set", "epochs=0"],
             ["analyze", "--bin-width", "0"],
             ["train", "--model", "bert", "--set", "hidden_size=16", "--set", "num_heads=3"],
+            ["eval", "--checkpoint", "<nb_model>", "--split", "all", "--seed", "5"],
         ],
-        ids=["epochs-0", "bin-width-0", "heads-not-dividing-hidden"],
+        ids=["epochs-0", "bin-width-0", "heads-not-dividing-hidden", "eval-all-seed"],
     )
-    def test_failing_command_writes_no_manifest(self, corpus_csv, tmp_path, capsys, argv):
+    def test_failing_command_writes_no_manifest(self, corpus_csv, nb_model, tmp_path, capsys,
+                                                argv):
         out = tmp_path / "o"
+        argv = [nb_model if arg == "<nb_model>" else arg for arg in argv]
         code = run([*argv, "--input", corpus_csv, "--out", out])
         assert_one_error_line(code, capsys.readouterr().err)
         assert out.is_dir()
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "which", ["train-bert", "train-nb", "eval-test", "eval-val", "eval-unseeded", "eval-all"]
+    )
+    def test_records_only_the_seeds_read(self, corpus_csv, trained, nb_model, tmp_path, which):
+        """A command records --seed and the seeds derived from it that it
+        read: the fixtures train with --seed 42, and an unseeded run reads 42
+        too. The values pin the split, init, train order of the derivation."""
+        derived = {"train-bert": SEEDS_42.keys(), "eval-all": ()}.get(which, ["split"])
+        evals = {"eval-test": ["--split", "test", "--seed", 42],
+                 "eval-val": ["--split", "val", "--seed", 42],
+                 "eval-unseeded": [], "eval-all": ["--split", "all"]}
+        out = {"train-bert": trained, "train-nb": nb_model.parent}.get(which, tmp_path / "o")
+        if which in evals:
+            assert run(["eval", "--checkpoint", nb_model, "--input", corpus_csv,
+                        "--out", out, *evals[which]]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == (42 if derived else None)
+        assert manifest["derived_seeds"] == {name: SEEDS_42[name] for name in derived}
 
     @pytest.mark.parametrize("failure", ["rejected-setting", "diverged", "out-of-memory",
                                          "killed"])

@@ -16,7 +16,6 @@ from moodlyrics.model import (
     ModelConfig,
     backward,
     classify,
-    cross_entropy,
     forward,
     init_model,
     load_checkpoint,
@@ -229,16 +228,16 @@ class TestAttention:
 class TestCrossEntropy:
     def test_confident_correct_is_near_zero(self):
         logits = np.array([[30.0, 0.0, 0.0, 0.0]])
-        assert cross_entropy(logits, np.array([0])) < 1e-9
+        assert softmax_cross_entropy(logits, np.array([0]))[0] < 1e-9
 
     def test_uniform_is_ln4(self):
         logits = np.zeros((5, 4))
         labels = np.array([0, 1, 2, 3, 0])
-        assert cross_entropy(logits, labels) == pytest.approx(math.log(4), abs=1e-12)
+        assert softmax_cross_entropy(logits, labels)[0] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_hand_case_ln10(self):
         logits = np.log(np.array([[1.0, 3.0, 3.0, 3.0]]))
-        assert cross_entropy(logits, np.array([0])) == pytest.approx(
+        assert softmax_cross_entropy(logits, np.array([0]))[0] == pytest.approx(
             math.log(10), abs=1e-12
         )
 
@@ -246,24 +245,26 @@ class TestCrossEntropy:
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(4, 4))
         labels = np.array([0, 1, 2, 3])
-        single = cross_entropy(logits, labels)
-        doubled = cross_entropy(np.vstack([logits, logits]), np.hstack([labels, labels]))
+        single = softmax_cross_entropy(logits, labels)[0]
+        doubled = softmax_cross_entropy(
+            np.vstack([logits, logits]), np.hstack([labels, labels])
+        )[0]
         assert doubled == pytest.approx(single, abs=1e-12)
 
     def test_uniform_class_weights_match_unweighted(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(6, 4))
         labels = np.array([0, 1, 2, 3, 1, 1])
-        plain = cross_entropy(logits, labels)
-        weighted = cross_entropy(logits, labels, class_weights=(2.0,) * 4)
+        plain = softmax_cross_entropy(logits, labels)[0]
+        weighted = softmax_cross_entropy(logits, labels, class_weights=(2.0,) * 4)[0]
         assert weighted == pytest.approx(plain, abs=1e-12)
 
     def test_class_weights_emphasize_a_class(self):
         logits = np.zeros((2, 4))
         logits[0, 0] = 3.0  # example 0 (class 0) predicted well
         labels = np.array([0, 3])
-        light = cross_entropy(logits, labels, class_weights=(1.0, 1.0, 1.0, 0.1))
-        heavy = cross_entropy(logits, labels, class_weights=(1.0, 1.0, 1.0, 10.0))
+        light = softmax_cross_entropy(logits, labels, class_weights=(1.0, 1.0, 1.0, 0.1))[0]
+        heavy = softmax_cross_entropy(logits, labels, class_weights=(1.0, 1.0, 1.0, 10.0))[0]
         assert heavy > light  # class 3 is the badly predicted one
 
     def test_far_logits_stay_finite(self):
