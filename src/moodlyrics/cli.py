@@ -1,11 +1,12 @@
 """Command-line pipeline: ingest, analyze, train, eval, predict.
 
 Every command but ``predict`` writes artifacts and a ``RunManifest``:
-config snapshot, seeds, input hashes and metrics. ``main``
-is the one commit point: it resolves the output directory, runs the command
-against a hidden ``.partial-*`` staging directory inside it, and only when
-the command succeeds renames every staged file into place, records them as
-the manifest's outputs (sorted by name) and writes ``manifest.json`` last.
+config snapshot, seeds, input hashes, metrics and the environment it ran
+in. ``main`` is the one commit point: it resolves the output directory,
+runs the command against a hidden ``.partial-*`` staging directory inside
+it, and only when the command succeeds renames every staged file into
+place, records them as the manifest's outputs (sorted by name) and writes
+``manifest.json`` last.
 A failed command removes the staging directory and leaves the output
 directory as it was. Exit codes: 0 success, 1 internal error, 2 user/input
 error or out of memory. Each seed a command reads is derived from the one
@@ -19,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -76,12 +78,29 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
     duration_seconds: float = 0.0
 
     def save(self, out_dir: Path, started: float) -> Path:
         self.duration_seconds = time.perf_counter() - started
+        self.environment = _environment()
         text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
         return write_atomic(out_dir / "manifest.json", [text.encode("utf-8")])
+
+
+def _environment() -> dict:
+    """Python and numpy versions, the BLAS numpy was built with and the CPU
+    count. numpy before 1.25 cannot report its BLAS, so those two are None."""
+    blas = {}
+    if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _read_hashed(path, what: str, error: type[Exception], run: RunManifest) -> bytes:

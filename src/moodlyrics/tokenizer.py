@@ -9,9 +9,11 @@ only the words that hold the merged pair; the merge chosen each round (the
 most frequent pair, ties to the smallest, none below a count of 2) is the
 one a full recount would choose. Segmentation at encode time is greedy
 longest-prefix matching, so any word whose characters were all seen in
-training segments without UNK. No piece longer than the vocabulary's
-longest token is tried: the bounded form of MaxMatch (Fast WordPiece, Song
-et al. 2021, arXiv:2012.15524, goes further with a trie).
+training segments without UNK. It walks forward from each piece start
+through a table of token prefixes and stops at the first substring that
+begins no token, keeping the last full match (the prefix walk of Fast
+WordPiece, Song et al. 2021, arXiv:2012.15524, over flat dicts instead of
+a trie). Encoding memoises each word's token ids, not its pieces.
 
 Vocabulary file format: UTF-8 text, one token per line, line number = id;
 the first four lines are exactly ``[PAD] [UNK] [CLS] [SEP]``.
@@ -23,6 +25,7 @@ import hashlib
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +71,23 @@ class Vocabulary:
             raise TokenizerError("vocabulary contains duplicate tokens")
         self.tokens = tuple(tokens)
         self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
-        # no piece tried at segmentation can match beyond this many characters
-        self.longest = max(map(len, self.tokens))
+
+    @cached_property
+    def _prefixes(self) -> tuple[dict[str, int], dict[str, int]]:
+        """The segmentation tables, built on first use: word-initial (every
+        token) and continuation (each ``##`` token's body). Each maps a
+        token to its id and every other proper prefix of one to -1."""
+        initial = dict(self.id_of)
+        continuation = {
+            tok.removeprefix(CONTINUATION): i
+            for tok, i in self.id_of.items()
+            if tok.startswith(CONTINUATION)
+        }
+        for table in (initial, continuation):
+            for key in list(table):
+                for end in range(1, len(key)):
+                    table.setdefault(key[:end], -1)
+        return initial, continuation
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -236,31 +254,42 @@ def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
     return Vocabulary(tuple(tokens))
 
 
+def _segment_ids(word: str, vocab: Vocabulary) -> list[int]:
+    """The ids of ``word``'s greedy longest-prefix segmentation, or
+    ``[UNK_ID]`` if any position is unmatchable. From each piece start it
+    extends the piece while it is a prefix of some token and keeps the
+    last full match."""
+    table, continuation = vocab._prefixes
+    n = len(word)
+    ids = []
+    start = 0
+    while start < n:
+        match = -1
+        stop = start + 1
+        found = table.get(word[start:stop])
+        while found is not None:
+            if found >= 0:
+                match, end = found, stop
+            if stop == n:
+                break
+            stop += 1
+            found = table.get(word[start:stop])
+        if match < 0:
+            return [UNK_ID]
+        ids.append(match)
+        start = end
+        table = continuation
+    return ids
+
+
 def wordpiece_segment(word: str, vocab: Vocabulary) -> list[str]:
     """Greedy longest-prefix segmentation; a word with any unmatchable
-    position maps to ``[UNK]`` as a whole. Pieces are tried longest first,
-    none longer than the vocabulary's longest token."""
+    position maps to ``[UNK]`` as a whole. Each piece is found by walking
+    the vocabulary's prefix table forward from its start, stopping at the
+    first substring that begins no token."""
     if word.split() != [word]:
         raise TokenizerError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
-    known = vocab.id_of
-    pieces = []
-    start = 0
-    while start < len(word):
-        end = min(len(word), start + vocab.longest)
-        match = None
-        while start < end:
-            piece = word[start:end]
-            if start > 0:
-                piece = CONTINUATION + piece
-            if piece in known:
-                match = piece
-                break
-            end -= 1
-        if match is None:
-            return [UNK_TOKEN]
-        pieces.append(match)
-        start = end
-    return pieces
+    return [vocab.tokens[i] for i in _segment_ids(word, vocab)]
 
 
 def encode(
@@ -269,16 +298,17 @@ def encode(
     config: TokenizerConfig,
     label: MoodLabel | None = None,
     *,
-    segments: dict[str, list[str]] | None = None,
+    segments: dict[str, list[int]] | None = None,
     cleaned: str | None = None,
 ) -> EncodedExample:
     """Encode raw text to a fixed-length id sequence.
 
-    Pipeline: clean, word-tokenize, WordPiece-segment each word, truncate
-    the piece list to ``max_sequence_length - 2`` keeping the head, wrap in
+    Pipeline: clean, word-tokenize, WordPiece-segment each word straight
+    to token ids (the prefix walk of ``wordpiece_segment``), truncate the
+    id list to ``max_sequence_length - 2`` keeping the head, wrap in
     [CLS]/[SEP], pad with [PAD]. The mask marks non-pad positions.
 
-    ``segments`` memoises word -> pieces; calls that share one dict (and
+    ``segments`` memoises word -> token ids; calls that share one dict (and
     one vocabulary) segment each distinct word once. ``cleaned``, when
     given, is ``clean_text(text)`` already computed (a record's
     ``cleaned``), and ``text`` is not cleaned again.
@@ -287,20 +317,20 @@ def encode(
         segments = {}
     if cleaned is None:
         cleaned = clean_text(text)
-    pieces = []
+    piece_ids = []
     for w in _cleaned_words(cleaned, config):
-        word_pieces = segments.get(w)
-        if word_pieces is None:
-            word_pieces = segments[w] = wordpiece_segment(w, vocab)
-        pieces += word_pieces
+        word_ids = segments.get(w)
+        if word_ids is None:
+            word_ids = segments[w] = _segment_ids(w, vocab)
+        piece_ids += word_ids
     max_len = config.max_sequence_length
-    pieces = pieces[: max_len - 2]
+    piece_ids = piece_ids[: max_len - 2]
     ids = np.full(max_len, PAD_ID, dtype=np.int32)
     ids[0] = CLS_ID
-    ids[1 : len(pieces) + 1] = [vocab.id_of[piece] for piece in pieces]
-    ids[len(pieces) + 1] = SEP_ID
+    ids[1 : len(piece_ids) + 1] = piece_ids
+    ids[len(piece_ids) + 1] = SEP_ID
     mask = np.zeros(max_len, dtype=np.int32)
-    mask[: len(pieces) + 2] = 1
+    mask[: len(piece_ids) + 2] = 1
     return EncodedExample(ids=ids, mask=mask, label=label)
 
 
@@ -310,7 +340,7 @@ def encode_corpus(
     """Encode every record's cleaned lyrics, carrying the mood label along.
     The records share one segmentation memo, which lives only for this
     call."""
-    segments: dict[str, list[str]] = {}
+    segments: dict[str, list[int]] = {}
     return [
         encode(rec.lyrics, vocab, config, label=rec.mood, segments=segments,
                cleaned=rec.cleaned)

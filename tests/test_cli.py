@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import resource
 import shutil
@@ -18,6 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -865,6 +867,27 @@ class TestManifests:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == (42 if derived else None)
         assert manifest["derived_seeds"] == {name: SEEDS_42[name] for name in derived}
+
+    def test_records_the_environment(self, corpus_csv, trained, nb_model, tmp_path):
+        """Every command's manifest names the Python, numpy and BLAS it ran
+        on and the CPU count."""
+        ingest_out, eval_out = tmp_path / "ing", tmp_path / "ev"
+        assert run(["ingest", "--input", corpus_csv, "--out", ingest_out]) == 0
+        assert run(["eval", "--checkpoint", nb_model, "--input", corpus_csv,
+                    "--out", eval_out, "--split", "all"]) == 0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        expected = {"python": platform.python_version(), "numpy": np.__version__,
+                    "blas": blas["name"], "blas_version": blas["version"],
+                    "cpu_count": os.cpu_count()}
+        for out in (ingest_out, trained, nb_model.parent, eval_out):
+            assert json.loads((out / "manifest.json").read_text())["environment"] == expected
+
+    def test_environment_without_blas_report(self, monkeypatch):
+        # numpy before 1.25 has no show_config(mode="dicts")
+        monkeypatch.setattr(np, "__version__", "1.24.4")
+        environment = cli._environment()
+        assert environment["numpy"] == "1.24.4"
+        assert environment["blas"] is None and environment["blas_version"] is None
 
     @pytest.mark.parametrize("failure", ["rejected-setting", "diverged", "out-of-memory",
                                          "killed"])

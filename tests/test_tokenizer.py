@@ -211,14 +211,16 @@ class TestSegment:
         vocab = small_vocab("ab", "a", "##b", "##c")
         assert wordpiece_segment("abc", vocab) == ["ab", "##c"]
 
+    def test_longest_match_past_prefixes_that_are_not_tokens(self):
+        # "ab", "##b" and "##ba" are no tokens, only prefixes of ones
+        vocab = small_vocab("a", "abb", "##bab")
+        assert wordpiece_segment("abbbab", vocab) == ["abb", "##bab"]
+
     def test_rejects_empty_or_spaced(self):
         with pytest.raises(TokenizerError):
             wordpiece_segment("", small_vocab("a"))
         with pytest.raises(TokenizerError):
             wordpiece_segment("a b", small_vocab("a"))
-
-    def test_longest_is_the_longest_token(self):
-        assert small_vocab("a", "##bcdefg").longest == len("##bcdefg")
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(
@@ -239,6 +241,16 @@ class TestSegment:
                     continue
                 rebuilt = pieces[0] + "".join(p[2:] for p in pieces[1:])
                 assert rebuilt == word
+
+
+@st.composite
+def vocabularies_over_ab(draw):
+    """Some of the single-letter pieces, so that many words segment, and
+    random pieces over ``ab#``, about half of them ``##``-marked."""
+    base = draw(st.lists(st.sampled_from(["a", "b", "##a", "##b"])))
+    marked = st.tuples(st.sampled_from(["", "##"]), st.text(alphabet="ab#", min_size=1, max_size=4))
+    extra = draw(st.lists(marked.map("".join), max_size=12))
+    return Vocabulary(SPECIAL_TOKENS + tuple(dict.fromkeys(base + extra)))
 
 
 class TestEncode:
@@ -265,6 +277,46 @@ class TestEncode:
         example = encode("a", vocab, config)
         assert list(example.ids) == [CLS_ID, vocab.id_of["a"], SEP_ID] + [PAD_ID] * 5
         assert list(example.mask) == [1, 1, 1, 0, 0, 0, 0, 0]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        vocab=vocabularies_over_ab(),
+        texts=st.lists(
+            st.lists(st.text(alphabet="aAb#", min_size=1, max_size=6), max_size=12).map(" ".join),
+            min_size=1, max_size=4,
+        ),
+        max_len=st.integers(8, 12),
+    )
+    def test_ids_equal_uncapped_oracle(self, vocab, texts, max_len):
+        # one memo shared by every call; many texts run past max_len - 2
+        config = TokenizerConfig(max_sequence_length=max_len, vocab_size=8)
+        segments = {}
+        for text in texts:
+            example = encode(text, vocab, config, segments=segments)
+            expected = [
+                vocab.id_of[piece]
+                for word in normalize_words(text, config)
+                for piece in wordpiece_segment_uncapped(word, vocab)
+            ][: max_len - 2]
+            real = len(expected) + 2
+            assert list(example.ids) == [CLS_ID, *expected, SEP_ID] + [PAD_ID] * (max_len - real)
+            assert list(example.mask) == [1] * real + [0] * (max_len - real)
+
+    def test_encode_corpus_calls_encode_once_per_record(
+        self, synth32, vocab32, tok_config, monkeypatch
+    ):
+        # perfbench's tracer counts tokens by wrapping the module-level encode
+        texts = []
+        real = tokenizer_module.encode
+
+        def counting_encode(text, *args, **kwargs):
+            texts.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(tokenizer_module, "encode", counting_encode)
+        examples = encode_corpus(synth32, vocab32, tok_config)
+        assert texts == [rec.lyrics for rec in synth32]
+        assert len(examples) == len(synth32)
 
     def test_label_carried(self, synth32, vocab32, tok_config):
         examples = encode_corpus(synth32, vocab32, tok_config)
