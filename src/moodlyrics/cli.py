@@ -47,7 +47,6 @@ from .corpus import (
 )
 from .errors import CorpusError, MoodlyricsError, UsageError
 from .model import (
-    CHECKPOINT_MAGIC,
     EVAL_BATCH,  # unused here; perfbench sizes its eval stage by cli.EVAL_BATCH
     ModelConfig,
     classify,
@@ -379,8 +378,6 @@ def _load_model(args, run: RunManifest):
             raise UsageError(f"--vocab is for transformer checkpoints; "
                              f"{Path(args.checkpoint)} is a Naive Bayes model")
         return baseline.load_nb(args.checkpoint, data=data)
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise UsageError(f"unrecognized checkpoint format: {Path(args.checkpoint)}")
     params, vocab_hash, tok_config = load_checkpoint(args.checkpoint, data=data)
     if not args.vocab:
         raise UsageError("transformer checkpoints need --vocab")

@@ -11,6 +11,7 @@ import os
 import platform
 import re
 import resource
+import shlex
 import shutil
 import signal
 import struct
@@ -457,7 +458,7 @@ def _nb_field(nb_text: str, line: int, index: int, value: str) -> str:
      "tokenizer-null", "header-deeply-nested", "nb-priors-short", "nb-alpha-nan",
      "nb-prior-nan", "nb-likelihood-inf", "model-heads-indivisible", "tokenizer-vocab-zero",
      "nb-classes-reordered", "nb-alpha-negative", "nb-word-repeated",
-     "arrays-swapped", "array-listed-twice"],
+     "arrays-swapped", "array-listed-twice", "neither-format"],
 )
 def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     checkpoint = (trained / "checkpoint.ckpt").read_bytes()
@@ -477,6 +478,8 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
         }[which](nb_text), encoding="utf-8")
     elif which == "header-deeply-nested":
         bad.write_bytes(with_header_bytes(checkpoint, b"[" * 100_000))
+    elif which == "neither-format":
+        bad.write_text(LYRICS, encoding="utf-8")
     elif which == "array-listed-twice":
         # the last array, head.b, listed again, with a second copy's bytes
         bad.write_bytes(with_header(checkpoint, lambda h: h["arrays"].append(h["arrays"][-1]))
@@ -850,20 +853,23 @@ class TestManifests:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "which", ["train-bert", "train-nb", "eval-test", "eval-val", "eval-unseeded", "eval-all"]
+        "which", ["train-bert", "train-nb", "eval-test", "eval-val", "eval-unseeded", "eval-all",
+                  "eval-bert-test"]
     )
     def test_records_only_the_seeds_read(self, corpus_csv, trained, nb_model, tmp_path, which):
         """A command records --seed and the seeds derived from it that it
         read: the fixtures train with --seed 42, and an unseeded run reads 42
         too. The values pin the split, init, train order of the derivation."""
         derived = {"train-bert": SEEDS_42.keys(), "eval-all": ()}.get(which, ["split"])
-        evals = {"eval-test": ["--split", "test", "--seed", 42],
-                 "eval-val": ["--split", "val", "--seed", 42],
-                 "eval-unseeded": [], "eval-all": ["--split", "all"]}
+        nb = ["--checkpoint", nb_model]
+        evals = {"eval-test": [*nb, "--split", "test", "--seed", 42],
+                 "eval-val": [*nb, "--split", "val", "--seed", 42],
+                 "eval-unseeded": nb, "eval-all": [*nb, "--split", "all"],
+                 "eval-bert-test": ["--checkpoint", trained / "checkpoint.ckpt",
+                                    "--vocab", trained / "vocab.txt", "--split", "test"]}
         out = {"train-bert": trained, "train-nb": nb_model.parent}.get(which, tmp_path / "o")
         if which in evals:
-            assert run(["eval", "--checkpoint", nb_model, "--input", corpus_csv,
-                        "--out", out, *evals[which]]) == 0
+            assert run(["eval", *evals[which], "--input", corpus_csv, "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == (42 if derived else None)
         assert manifest["derived_seeds"] == {name: SEEDS_42[name] for name in derived}
@@ -871,15 +877,16 @@ class TestManifests:
     def test_records_the_environment(self, corpus_csv, trained, nb_model, tmp_path):
         """Every command's manifest names the Python, numpy and BLAS it ran
         on and the CPU count."""
-        ingest_out, eval_out = tmp_path / "ing", tmp_path / "ev"
+        ingest_out, analyze_out, eval_out = tmp_path / "ing", tmp_path / "ana", tmp_path / "ev"
         assert run(["ingest", "--input", corpus_csv, "--out", ingest_out]) == 0
+        assert run(["analyze", "--input", corpus_csv, "--out", analyze_out]) == 0
         assert run(["eval", "--checkpoint", nb_model, "--input", corpus_csv,
                     "--out", eval_out, "--split", "all"]) == 0
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         expected = {"python": platform.python_version(), "numpy": np.__version__,
                     "blas": blas["name"], "blas_version": blas["version"],
                     "cpu_count": os.cpu_count()}
-        for out in (ingest_out, trained, nb_model.parent, eval_out):
+        for out in (ingest_out, analyze_out, trained, nb_model.parent, eval_out):
             assert json.loads((out / "manifest.json").read_text())["environment"] == expected
 
     def test_environment_without_blas_report(self, monkeypatch):
@@ -950,30 +957,64 @@ class TestManifests:
         assert list(out.iterdir()) == []
 
 
-class TestPipelineDeterminism:
-    def artifacts_identical(self, out_a, out_b):
-        names_a = sorted(p.name for p in out_a.iterdir() if p.name != "manifest.json")
-        names_b = sorted(p.name for p in out_b.iterdir() if p.name != "manifest.json")
-        assert names_a == names_b
-        for name in names_a:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+def quick_start_commands():
+    """The argv of each command in README.md's fenced ``sh`` block under
+    ``## Quick start``: continued lines joined, comments and blank lines
+    dropped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n")[1].split("```sh\n")[1].split("\n```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [argv for line in lines if (argv := shlex.split(line, comments=True))]
 
-    def test_ingest_and_eval_byte_identical(self, corpus_csv, trained, tmp_path):
-        outs = []
-        for name in ("ia", "ib"):
-            out = tmp_path / name
-            assert run(["ingest", "--input", corpus_csv, "--out", out]) == 0
-            outs.append(out)
-        self.artifacts_identical(*outs)
 
-        outs = []
-        for name in ("ea", "eb"):
-            out = tmp_path / name
-            assert run(["eval", "--checkpoint", trained / "checkpoint.ckpt",
-                        "--vocab", trained / "vocab.txt", "--input", corpus_csv,
-                        "--out", out, "--seed", 42]) == 0
-            outs.append(out)
-        self.artifacts_identical(*outs)
+# runs each argv of its JSON argument through cli.main, stopping at a failure
+QUICK_START_CHILD = """
+import json, sys
+from moodlyrics import cli
+for argv in json.loads(sys.argv[1]):
+    if code := cli.main(argv):
+        sys.exit(f"exit {code}: {argv}")
+"""
+
+
+def test_quick_start_alike_under_two_hash_seeds(tmp_path):
+    """The README quick start as written, then a Naive Bayes run from a
+    config file, its eval over the whole corpus and an ingest of the CSV,
+    in two processes whose string hashes differ: both exit 0, leave no
+    staging directory, print the same stdout and write the same bytes to
+    every file but the manifests (which hold the run time and the paths)."""
+    commands = quick_start_commands()
+    assert {argv[0] for argv in commands} == {"moodlyrics"}
+    assert {argv[1] for argv in commands} == {"ingest", "analyze", "train", "eval", "predict"}
+    corpus = "out/ingest/corpus.csv"
+    argvs = [argv[1:] for argv in commands] + [
+        ["train", "--input", corpus, "--model", "nb", "--config", "nb.cfg",
+         "--out", "out/nb_config"],
+        ["eval", "--checkpoint", "out/nb_config/model.nb", "--input", corpus,
+         "--split", "all", "--out", "out/eval_nb_all"],
+        ["ingest", "--input", corpus, "--out", "out/ingest_csv"],
+    ]
+    passes = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"hash-seed-{hash_seed}"
+        cwd.mkdir()
+        (cwd / "nb.cfg").write_text("# smoothing for the baseline\nalpha = 0.5\n",
+                                    encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", QUICK_START_CHILD, json.dumps(argvs)], cwd=cwd,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(moodlyrics.__file__).parents[1]),
+                 "PYTHONHASHSEED": hash_seed},
+        )
+        assert done.returncode == 0, done.stderr
+        paths = sorted(cwd.rglob("*"))
+        assert [path for path in paths if path.name.startswith(".partial-")] == []
+        passes.append((done.stdout, {path.relative_to(cwd): path.read_bytes() for path in paths
+                                     if path.is_file() and path.name != "manifest.json"}))
+    (stdout_1, files_1), (stdout_2, files_2) = passes
+    assert stdout_1 == stdout_2
+    assert files_1.keys() == files_2.keys()
+    assert [path for path in files_1 if files_1[path] != files_2[path]] == []
 
 
 def mutate(data: bytes, kind: str, at: int) -> bytes:
