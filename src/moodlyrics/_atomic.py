@@ -18,6 +18,8 @@ import os
 from collections.abc import Iterable
 from pathlib import Path
 
+from .errors import MoodlyricsError
+
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> Path:
     """Write the concatenated ``chunks`` to ``path`` atomically."""
@@ -41,28 +43,26 @@ def write_csv(path: str | Path, rows: Iterable[Iterable]) -> Path:
     return write_atomic(path, [buf.getvalue().encode("utf-8")])
 
 
-def read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
-    """The bytes of the regular file ``path``, or ``error`` naming ``what``
-    and the path: "not found" for anything but a regular file (a FIFO would
-    block), "cannot be read" for any ``OSError``."""
+def read_input(path: str | Path, what: str) -> bytes:
+    """The bytes of the regular file ``path``, or a :class:`MoodlyricsError`
+    naming ``what`` and the path: "not found" for anything but a regular file
+    (a FIFO would block), "cannot be read" for any ``OSError``."""
     path = Path(path)
     try:
         if not path.is_file():
-            raise error(f"{what} not found: {path}")
+            raise MoodlyricsError(f"{what} not found: {path}")
         return path.read_bytes()
     except OSError as exc:
-        raise error(f"{what} cannot be read ({exc.strerror}): {path}") from None
+        raise MoodlyricsError(f"{what} cannot be read ({exc.strerror}): {path}") from None
 
 
-def read_input_text(
-    path: str | Path, what: str, error: type[Exception], *, data: bytes | None = None
-) -> str:
+def read_input_text(path: str | Path, what: str, *, data: bytes | None = None) -> str:
     """:func:`read_input`, or ``data`` when given, decoded as strict UTF-8,
     line ends untranslated."""
     if data is None:
-        data = read_input(path, what, error)
+        data = read_input(path, what)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         where = f"{exc.reason} at byte {exc.start}"
-        raise error(f"{what} is not UTF-8: {Path(path)} ({where})") from None
+        raise MoodlyricsError(f"{what} is not UTF-8: {Path(path)} ({where})") from None

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from .errors import UsageError
+from .errors import MoodlyricsError
 
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered not in ("1", "true", "yes", "0", "false", "no"):
-        raise UsageError(f"expected a boolean, got {text!r}")
+        raise MoodlyricsError(f"expected a boolean, got {text!r}")
     return lowered in ("1", "true", "yes")
 
 
@@ -30,16 +30,16 @@ _CODECS = {
 
 def parse_setting(annotation: str, key: str, raw, *, from_json: bool = False):
     """``raw`` text, or with ``from_json`` a JSON value, as the type that
-    ``annotation`` names; ``UsageError`` naming ``key`` when it is not."""
+    ``annotation`` names; ``MoodlyricsError`` naming ``key`` when it is not."""
     parse, json_types = _CODECS[annotation]
     if from_json:
         if type(raw) not in json_types:
-            raise UsageError(f"{key} must be a JSON {annotation}, got {raw!r}")
+            raise MoodlyricsError(f"{key} must be a JSON {annotation}, got {raw!r}")
         return raw
     try:
         return parse(raw)
     except ValueError:
-        raise UsageError(f"cannot parse {key}={raw!r}") from None
+        raise MoodlyricsError(f"cannot parse {key}={raw!r}") from None
 
 
 def config_from_json(cls, values):

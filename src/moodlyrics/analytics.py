@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ._atomic import write_atomic, write_csv
 from .corpus import Corpus, SongRecord
-from .errors import AnalyticsError
+from .errors import MoodlyricsError
 from .tokenizer import word_tokenize
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -53,7 +53,7 @@ def lexical_stats(
     fraction for one song. Errors on lyrics that clean to nothing."""
     tokens = word_tokenize(record.cleaned)
     if not tokens:
-        raise AnalyticsError(f"no tokens after cleaning: {record.title!r}")
+        raise MoodlyricsError(f"no tokens after cleaning: {record.title!r}")
     unique = len(set(tokens))
     content = sum(1 for tok in tokens if tok not in stopwords)
     return LexicalStats(
@@ -78,9 +78,9 @@ def density_curve(
     order, are used as given instead of being computed again.
     """
     if len(corpus) == 0:
-        raise AnalyticsError("cannot compute a density curve on an empty corpus")
+        raise MoodlyricsError("cannot compute a density curve on an empty corpus")
     if bin_width < 1:
-        raise AnalyticsError(f"bin_width must be >= 1, got {bin_width}")
+        raise MoodlyricsError(f"bin_width must be >= 1, got {bin_width}")
     if stats is None:
         stats = [lexical_stats(rec) for rec in corpus]
     sums: dict[int, float] = {}
@@ -110,9 +110,9 @@ def emit_plot(series: list[Series], path: str | Path, kind: str) -> Path:
     removes unpublished.
     """
     if kind not in _CHARTS:
-        raise AnalyticsError(f"unknown plot kind {kind!r}, expected one of {tuple(_CHARTS)}")
+        raise MoodlyricsError(f"unknown plot kind {kind!r}, expected one of {tuple(_CHARTS)}")
     if not series or all(len(points) == 0 for _, points in series):
-        raise AnalyticsError("cannot plot empty series")
+        raise MoodlyricsError("cannot plot empty series")
     path = Path(path)
     title, body = _CHARTS[kind]
     parts = [

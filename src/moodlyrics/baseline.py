@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from ._atomic import read_input_text, write_atomic
 from .corpus import Corpus, MoodLabel, clean_text
-from .errors import BaselineError
+from .errors import MoodlyricsError
 
 NB_FORMAT = "moodlyrics-nb v1"
 _CLASSES_LINE = "classes\t" + "\t".join(label.name.lower() for label in MoodLabel)
@@ -42,13 +42,13 @@ def nb_train(corpus: Corpus, alpha: float = 1.0) -> NaiveBayesModel:
     (count(w,c) + alpha) / (total(c) + alpha * |V|) over one [V, 4] count
     matrix, words in sorted order; total(c) is its column sum."""
     if not (0 < alpha < math.inf):
-        raise BaselineError(f"smoothing alpha must be finite and > 0, got {alpha}")
+        raise MoodlyricsError(f"smoothing alpha must be finite and > 0, got {alpha}")
     if len(corpus) == 0:
-        raise BaselineError("cannot train Naive Bayes on an empty corpus")
+        raise MoodlyricsError("cannot train Naive Bayes on an empty corpus")
     class_docs = np.bincount([rec.mood for rec in corpus], minlength=len(MoodLabel))
     missing = [label.display for label in MoodLabel if class_docs[label] == 0]
     if missing:
-        raise BaselineError(f"classes missing from training corpus: {missing}")
+        raise MoodlyricsError(f"classes missing from training corpus: {missing}")
     class_words = [Counter() for _ in MoodLabel]
     for rec in corpus:
         class_words[rec.mood].update(_words(rec.cleaned))
@@ -58,7 +58,7 @@ def nb_train(corpus: Corpus, alpha: float = 1.0) -> NaiveBayesModel:
         counts[[vocabulary[word] for word in words], label] = list(words.values())
     likelihood = (counts + alpha) / (counts.sum(axis=0) + alpha * len(vocabulary))
     if not likelihood.all():
-        raise BaselineError(f"smoothing alpha {alpha} gives a word likelihood of 0")
+        raise MoodlyricsError(f"smoothing alpha {alpha} gives a word likelihood of 0")
     return NaiveBayesModel(
         vocabulary=vocabulary,
         log_priors=np.log(class_docs / len(corpus)),
@@ -111,9 +111,9 @@ def load_nb(path: str | Path, *, data: bytes | None = None) -> NaiveBayesModel:
     Every line must be as :func:`save_nb` writes it: alpha > 0, the classes
     in ``MoodLabel`` order, four priors and each word once."""
     path = Path(path)
-    lines = read_input_text(path, "model file", BaselineError, data=data).splitlines()
+    lines = read_input_text(path, "model file", data=data).splitlines()
     if not lines or lines[0] != NB_FORMAT:
-        raise BaselineError(f"not a Naive Bayes model file: {path}")
+        raise MoodlyricsError(f"not a Naive Bayes model file: {path}")
     vocabulary: dict[str, int] = {}
     rows = []
     try:
@@ -128,11 +128,11 @@ def load_nb(path: str | Path, *, data: bytes | None = None) -> NaiveBayesModel:
             vocabulary[word] = len(rows)
             rows.append([float(v) for v in values])
     except (IndexError, ValueError):
-        raise BaselineError(f"malformed model file: {path}") from None
+        raise MoodlyricsError(f"malformed model file: {path}") from None
     log_likelihood = np.array(rows).reshape(len(rows), len(MoodLabel))
     # nb_predict's posterior softmax does not check its input
     if not np.isfinite([alpha, *priors]).all() or not np.isfinite(log_likelihood).all():
-        raise BaselineError(f"malformed model file (non-finite value): {path}")
+        raise MoodlyricsError(f"malformed model file (non-finite value): {path}")
     return NaiveBayesModel(
         vocabulary=vocabulary,
         log_priors=np.array(priors),

@@ -45,7 +45,7 @@ from .corpus import (
     stratified_split,
     synthesize_corpus,
 )
-from .errors import CorpusError, MoodlyricsError, UsageError
+from .errors import MoodlyricsError
 from .model import (
     EVAL_BATCH,  # unused here; perfbench sizes its eval stage by cli.EVAL_BATCH
     ModelConfig,
@@ -102,16 +102,16 @@ def _environment() -> dict:
     }
 
 
-def _read_hashed(path, what: str, error: type[Exception], run: RunManifest) -> bytes:
+def _read_hashed(path, what: str, run: RunManifest) -> bytes:
     """The bytes of input file ``path``; the run records their SHA-256."""
-    data = read_input(path, what, error)
+    data = read_input(path, what)
     run.inputs[str(path)] = hashlib.sha256(data).hexdigest()
     return data
 
 
 def _read_corpus(path: str, run: RunManifest) -> tuple:
     """``load_corpus`` on ``path``, from the bytes the run hashed."""
-    return load_corpus(path, data=_read_hashed(path, "corpus file", CorpusError, run))
+    return load_corpus(path, data=_read_hashed(path, "corpus file", run))
 
 
 def _derive_seed(args, name: str, run: RunManifest) -> int:
@@ -120,7 +120,7 @@ def _derive_seed(args, name: str, run: RunManifest) -> int:
     "split", "init" or "train"."""
     seed = 42 if args.seed is None else args.seed
     if seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
+        raise MoodlyricsError(f"--seed must be a non-negative integer, got {seed}")
     child = np.random.SeedSequence(seed).spawn(3)[("split", "init", "train").index(name)]
     run.seed = seed
     run.derived_seeds[name] = int(child.generate_state(1)[0])
@@ -138,7 +138,7 @@ def _resolve_out(args) -> tuple[Path, tempfile.TemporaryDirectory]:
         verb = "write to"
         return out_dir, tempfile.TemporaryDirectory(prefix=".partial-", dir=out_dir)
     except OSError as exc:
-        raise UsageError(f"cannot {verb} output directory {out}: {exc.strerror}") from None
+        raise MoodlyricsError(f"cannot {verb} output directory {out}: {exc.strerror}") from None
 
 
 # each key a config file or --set may give, with what takes it and its type;
@@ -163,7 +163,7 @@ def _key_values(items) -> dict[str, str]:
     for where, text in items:
         key, eq, value = text.partition("=")
         if not eq:
-            raise UsageError(f"{where}: expected key=value, got {text!r}")
+            raise MoodlyricsError(f"{where}: expected key=value, got {text!r}")
         pairs[key.strip()] = value.strip()
     return pairs
 
@@ -176,7 +176,7 @@ def _read_settings(args, *, data: bytes | None = None) -> dict:
     lines = []
     if args.config:
         path = Path(args.config)
-        text = read_input_text(path, "config file", UsageError, data=data)
+        text = read_input_text(path, "config file", data=data)
         lines = [(f"{path}:{lineno}", stripped)
                  for lineno, line in enumerate(text.splitlines(), 1)
                  if (stripped := line.strip()) and not stripped.startswith("#")]
@@ -184,9 +184,9 @@ def _read_settings(args, *, data: bytes | None = None) -> dict:
     routed: dict = {}
     for key, raw in pairs.items():
         if key == "seed":
-            raise UsageError("set the seed with the --seed flag, not the config file")
+            raise MoodlyricsError("set the seed with the --seed flag, not the config file")
         if key not in _SETTABLE:
-            raise UsageError(f"unknown config key {key!r}")
+            raise MoodlyricsError(f"unknown config key {key!r}")
         owner, annotation = _SETTABLE[key]
         routed.setdefault(owner, {})[key] = parse_setting(annotation, key, raw)
     return routed | {owner: {} for owner, _ in _SETTABLE.values() if owner not in routed}
@@ -197,7 +197,7 @@ def _parse_synthetic(spec: str) -> dict[str, int]:
     parts = _key_values(("--synthetic", part) for part in spec.split(",") if part.strip())
     for key, value in parts.items():
         if key not in options:
-            raise UsageError(f"unknown --synthetic option {key!r}")
+            raise MoodlyricsError(f"unknown --synthetic option {key!r}")
         options[key] = parse_setting("int", key, value)
     return options
 
@@ -218,10 +218,8 @@ def cmd_ingest(args, run: RunManifest, out_dir: Path) -> None:
         options = _parse_synthetic(args.synthetic)
         corpus = synthesize_corpus(options["seed"], options["per_class"])
         report = DropReport()
-    elif args.input:
-        corpus, report = _read_corpus(args.input, run)
     else:
-        raise UsageError("ingest needs --input or --synthetic")
+        corpus, report = _read_corpus(args.input, run)
 
     save_corpus(corpus, out_dir / "corpus.csv")
     drop_lines = report.lines()
@@ -310,12 +308,12 @@ def cmd_train(args, run: RunManifest, out_dir: Path) -> None:
     does not read (``_READERS``) is refused before the split, naming every
     such key."""
     corpus, _ = _read_corpus(args.input, run)
-    config = _read_hashed(args.config, "config file", UsageError, run) if args.config else None
+    config = _read_hashed(args.config, "config file", run) if args.config else None
     settings = _read_settings(args, data=config)
     unread = [key for owner, given in settings.items()
               if owner not in _READERS[args.model] for key in given]
     if unread:
-        raise UsageError(f"--model {args.model} does not read {', '.join(unread)}")
+        raise MoodlyricsError(f"--model {args.model} does not read {', '.join(unread)}")
     train_split, val_split, test_split = stratified_split(
         corpus, SPLIT_RATIOS, _derive_seed(args, "split", run)
     )
@@ -372,18 +370,18 @@ def _load_model(args, run: RunManifest):
     settings). Only a transformer reads --vocab, and it must match the hash
     its checkpoint header pins; a Naive Bayes file given --vocab is refused
     before the vocabulary is opened."""
-    data = _read_hashed(args.checkpoint, "checkpoint", UsageError, run)
+    data = _read_hashed(args.checkpoint, "checkpoint", run)
     if data.startswith(baseline.NB_FORMAT.encode("utf-8")):
         if args.vocab is not None:
-            raise UsageError(f"--vocab is for transformer checkpoints; "
-                             f"{Path(args.checkpoint)} is a Naive Bayes model")
+            raise MoodlyricsError(f"--vocab is for transformer checkpoints; "
+                                  f"{Path(args.checkpoint)} is a Naive Bayes model")
         return baseline.load_nb(args.checkpoint, data=data)
     params, vocab_hash, tok_config = load_checkpoint(args.checkpoint, data=data)
     if not args.vocab:
-        raise UsageError("transformer checkpoints need --vocab")
+        raise MoodlyricsError("transformer checkpoints need --vocab")
     vocab = Vocabulary.load(args.vocab)
     if vocab.sha256() != vocab_hash:
-        raise UsageError(
+        raise MoodlyricsError(
             f"vocabulary hash mismatch: checkpoint expects {vocab_hash[:12]}..., "
             f"{args.vocab} has {vocab.sha256()[:12]}..."
         )
@@ -394,7 +392,7 @@ def cmd_eval(args, run: RunManifest, out_dir: Path) -> None:
     corpus, _ = _read_corpus(args.input, run)
     if args.split == "all":
         if args.seed is not None:
-            raise UsageError("--split all does not read --seed")
+            raise MoodlyricsError("--split all does not read --seed")
         chosen = corpus
     else:
         splits = stratified_split(corpus, SPLIT_RATIOS, _derive_seed(args, "split", run))
@@ -416,14 +414,14 @@ def cmd_predict(args, run: RunManifest) -> int:
     if args.lyrics is not None:
         lyrics = args.lyrics
     else:
-        lyrics = read_input_text(args.file, "lyrics file", UsageError)
+        lyrics = read_input_text(args.file, "lyrics file")
+    model = _load_model(args, run)
     cleaned = clean_text(lyrics)
     if not cleaned:
         print(
             "warning: lyrics are empty after cleaning; prediction uses no content",
             file=sys.stderr,
         )
-    model = _load_model(args, run)
     if isinstance(model, baseline.NaiveBayesModel):
         label, probs = baseline.nb_predict(model, lyrics, cleaned=cleaned)
     else:

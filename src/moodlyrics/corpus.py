@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._atomic import read_input_text, write_csv
-from .errors import CorpusError
+from .errors import MoodlyricsError
 
 CSV_HEADER = ["title", "category", "lyrics", "mood"]
 # the names of the three splits, in the order of the split ratios
@@ -49,7 +49,7 @@ class MoodLabel(enum.IntEnum):
         try:
             return cls[text.strip().upper()]
         except KeyError:
-            raise CorpusError(f"unknown mood label: {text!r}") from None
+            raise MoodlyricsError(f"unknown mood label: {text!r}") from None
 
     @property
     def display(self) -> str:
@@ -141,34 +141,34 @@ def clean_text(raw: str) -> str:
 
 def _csv_rows(fh, path: Path):
     """The CSV reader's rows, with its parse errors raised as
-    :class:`CorpusError` naming the file."""
+    :class:`MoodlyricsError` naming the file."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
-        raise CorpusError(f"{path}, line {reader.line_num}: {exc}") from None
+        raise MoodlyricsError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def load_corpus(path: str | Path, *, data: bytes | None = None) -> tuple[Corpus, DropReport]:
     """Load a corpus CSV, dropping and counting invalid rows. ``data``, when
     given, is the file's bytes already read.
 
-    Raises :class:`CorpusError` on a missing or unreadable file, bytes that
+    Raises :class:`MoodlyricsError` on a missing or unreadable file, bytes that
     are not UTF-8, a row the CSV reader rejects (such as a field over its
     size limit), a header that is not exactly ``title,category,lyrics,mood``,
     or zero surviving rows.
     """
     path = Path(path)
-    text = read_input_text(path, "corpus file", CorpusError, data=data)
+    text = read_input_text(path, "corpus file", data=data)
     records: list[SongRecord] = []
     report = DropReport()
     reader = _csv_rows(io.StringIO(text, newline=""), path)
     try:
         header = next(reader)
     except StopIteration:
-        raise CorpusError(f"malformed header: {path} is empty") from None
+        raise MoodlyricsError(f"malformed header: {path} is empty") from None
     if header != CSV_HEADER:
-        raise CorpusError(
+        raise MoodlyricsError(
             f"malformed header {','.join(header)!r}, expected "
             f"{','.join(CSV_HEADER)!r}"
         )
@@ -179,7 +179,7 @@ def load_corpus(path: str | Path, *, data: bytes | None = None) -> tuple[Corpus,
         title, category, lyrics, mood_text = row
         try:
             mood = MoodLabel.parse(mood_text)
-        except CorpusError:
+        except MoodlyricsError:
             report.bad_mood += 1
             continue
         record = SongRecord(title, category, lyrics, mood)
@@ -188,7 +188,7 @@ def load_corpus(path: str | Path, *, data: bytes | None = None) -> tuple[Corpus,
             continue
         records.append(record)
     if not records:
-        raise CorpusError(f"zero surviving rows in {path}")
+        raise MoodlyricsError(f"zero surviving rows in {path}")
     return Corpus(tuple(records), str(path)), report
 
 
@@ -201,7 +201,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
 def mood_distribution(corpus: Corpus) -> MoodDistribution:
     """Exact per-label counts and fractions. Errors on an empty corpus."""
     if len(corpus) == 0:
-        raise CorpusError("cannot compute mood distribution of an empty corpus")
+        raise MoodlyricsError("cannot compute mood distribution of an empty corpus")
     counts = {label: 0 for label in MoodLabel}
     for rec in corpus:
         counts[rec.mood] += 1
@@ -224,17 +224,17 @@ def stratified_split(
     """
     n_splits = len(SPLIT_NAMES)
     if len(ratios) != n_splits:
-        raise CorpusError(f"need {n_splits} split ratios, got {ratios}")
+        raise MoodlyricsError(f"need {n_splits} split ratios, got {ratios}")
     if any(r <= 0 for r in ratios):
-        raise CorpusError(f"split ratios must be positive, got {ratios}")
+        raise MoodlyricsError(f"split ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise CorpusError(f"split ratios must sum to 1, got {sum(ratios)}")
+        raise MoodlyricsError(f"split ratios must sum to 1, got {sum(ratios)}")
     by_class: dict[MoodLabel, list[int]] = {}
     for i, rec in enumerate(corpus):
         by_class.setdefault(rec.mood, []).append(i)
     for label, members in by_class.items():
         if len(members) < n_splits:
-            raise CorpusError(
+            raise MoodlyricsError(
                 f"class {label.display} has {len(members)} members, "
                 f"fewer than {n_splits} splits"
             )
@@ -280,7 +280,7 @@ def synthesize_corpus(seed: int, per_class: int) -> Corpus:
     """Generate ``per_class`` records per mood from mood-exclusive keyword
     pools plus shared fillers. Deterministic per seed."""
     if per_class < 1:
-        raise CorpusError(f"per_class must be >= 1, got {per_class}")
+        raise MoodlyricsError(f"per_class must be >= 1, got {per_class}")
     rng = random.Random(seed)
     records = []
     for index in range(per_class):

@@ -17,7 +17,7 @@ import numpy as np
 from ._atomic import write_csv
 from .analytics import emit_plot
 from .corpus import MoodLabel
-from .errors import EvaluationError
+from .errors import MoodlyricsError
 from .trainer import TrainHistory
 
 N_CLASSES = len(MoodLabel)
@@ -49,11 +49,11 @@ class EvalReport:
 def confusion(preds: list[MoodLabel], golds: list[MoodLabel]) -> ConfusionMatrix:
     """cell[t][p] = count of examples with true mood t predicted as p."""
     if len(preds) != len(golds):
-        raise EvaluationError(
+        raise MoodlyricsError(
             f"prediction/gold length mismatch: {len(preds)} vs {len(golds)}"
         )
     if not preds:
-        raise EvaluationError("cannot build a confusion matrix from zero examples")
+        raise MoodlyricsError("cannot build a confusion matrix from zero examples")
     cells = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for pred, gold in zip(preds, golds):
         cells[int(gold), int(pred)] += 1
@@ -64,7 +64,7 @@ def report(matrix: ConfusionMatrix) -> EvalReport:
     """Precision, recall, F1, support per class plus accuracy and averages."""
     cells = matrix.cells
     if cells.sum() == 0:
-        raise EvaluationError("cannot report on an empty confusion matrix")
+        raise MoodlyricsError("cannot report on an empty confusion matrix")
     diag = np.diag(cells).astype(np.float64)
     col_sums = cells.sum(axis=0).astype(np.float64)
     row_sums = cells.sum(axis=1).astype(np.float64)
@@ -161,7 +161,7 @@ def confusion_heatmap(matrix: ConfusionMatrix, path: str | Path) -> Path:
 def accuracy_curve(history: TrainHistory, path: str | Path) -> Path:
     """Two-series line plot of train and validation accuracy by epoch."""
     if len(history) == 0:
-        raise EvaluationError("cannot plot an empty training history")
+        raise MoodlyricsError("cannot plot an empty training history")
     epochs = range(1, len(history) + 1)
     series = [
         ("train", [(float(e), history.train_acc[e - 1]) for e in epochs]),

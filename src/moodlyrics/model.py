@@ -39,7 +39,7 @@ from . import _kernels
 from ._atomic import read_input, write_atomic
 from ._config import config_from_json
 from .corpus import MoodLabel
-from .errors import ModelError, TokenizerError, UsageError
+from .errors import MoodlyricsError
 from .tokenizer import EncodedExample, TokenizerConfig
 
 LN_EPS = 1e-5
@@ -81,16 +81,16 @@ class ModelConfig:
             self.ffn_size,
         )
         if any(d < 1 for d in dims):
-            raise ModelError(f"all model dimensions must be >= 1, got {self}")
+            raise MoodlyricsError(f"all model dimensions must be >= 1, got {self}")
         if self.hidden_size % self.num_heads != 0:
-            raise ModelError(
+            raise MoodlyricsError(
                 f"hidden_size {self.hidden_size} not divisible by "
                 f"num_heads {self.num_heads}"
             )
         if self.num_classes != 4:
-            raise ModelError(f"num_classes must be 4, got {self.num_classes}")
+            raise MoodlyricsError(f"num_classes must be 4, got {self.num_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ModelError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise MoodlyricsError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def head_size(self) -> int:
@@ -140,20 +140,16 @@ class Parameters:
 
 def init_model(config: ModelConfig, dtype=np.float32) -> Parameters:
     """Weights ~ N(0, 0.02), biases zero, layer-norm gains one.
-    Deterministic per config.seed. A model too large for memory raises
-    ModelError."""
+    Deterministic per config.seed."""
     rng = np.random.default_rng(config.seed)
     arrays: dict[str, np.ndarray] = {}
-    try:
-        for name, shape in param_shapes(config).items():
-            if len(shape) > 1:
-                arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-            elif name.endswith(".g"):
-                arrays[name] = np.ones(shape, dtype=dtype)
-            else:
-                arrays[name] = np.zeros(shape, dtype=dtype)
-    except MemoryError as exc:
-        raise ModelError(f"model does not fit in memory: {exc}") from None
+    for name, shape in param_shapes(config).items():
+        if len(shape) > 1:
+            arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        elif name.endswith(".g"):
+            arrays[name] = np.ones(shape, dtype=dtype)
+        else:
+            arrays[name] = np.zeros(shape, dtype=dtype)
     return Parameters(config, arrays)
 
 
@@ -161,28 +157,28 @@ def softmax(v: np.ndarray) -> np.ndarray:
     """Stable float64 softmax over the last axis, as a copy; rejects non-finite input."""
     v = np.array(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
-        raise ModelError("non-finite input to softmax")
+        raise MoodlyricsError("non-finite input to softmax")
     return _kernels.softmax_inplace(v)
 
 
 def _stack_batch(batch, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """The batch's stacked ids and integer attention mask, checked."""
     if len(batch) == 0:
-        raise ModelError("forward pass needs a nonempty batch")
+        raise MoodlyricsError("forward pass needs a nonempty batch")
     ids = np.stack([ex.ids for ex in batch])
     mask = np.stack([ex.mask for ex in batch])
     if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ModelError(
+        raise MoodlyricsError(
             f"token id out of range [0, {config.vocab_size}): "
             f"min {ids.min()}, max {ids.max()}"
         )
     if ids.shape[1] > config.max_positions:
-        raise ModelError(
+        raise MoodlyricsError(
             f"sequence length {ids.shape[1]} exceeds max_positions "
             f"{config.max_positions}"
         )
     if (mask.sum(axis=1) == 0).any():
-        raise ModelError("attention mask row with no unmasked positions")
+        raise MoodlyricsError("attention mask row with no unmasked positions")
     return ids, mask
 
 
@@ -236,12 +232,12 @@ def forward(
     trace cannot be passed to ``backward``.
     """
     if mode not in ("train", "eval"):
-        raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
+        raise MoodlyricsError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
     ids, mask = _stack_batch(batch, cfg)
     use_dropout = mode == "train" and cfg.dropout_rate > 0.0
     if use_dropout and rng is None:
-        raise ModelError("train-mode forward with dropout needs an rng")
+        raise MoodlyricsError("train-mode forward with dropout needs an rng")
 
     lengths = _bucket_lengths(mask)
     logits = np.empty((len(batch), cfg.num_classes), dtype=params.dtype)
@@ -257,7 +253,7 @@ def forward(
             buckets.append(bucket)
         del bucket  # an eval bucket's caches go before the next bucket runs
     if not np.all(np.isfinite(logits)):
-        raise ModelError("forward pass produced non-finite logits")
+        raise MoodlyricsError("forward pass produced non-finite logits")
     return ForwardTrace(logits=logits, ids=ids[:, : lengths.max()], buckets=buckets)
 
 
@@ -485,11 +481,11 @@ def backward(
     trace's buckets. They are added into ``out``, zeroed arrays shaped like
     the parameters, when it is given, and into new ones otherwise. The
     trace must come from a train-mode forward: an eval-mode trace holds no
-    buckets and raises ModelError."""
+    buckets and raises MoodlyricsError."""
     if trace.logits.shape[0] != len(labels):
-        raise ModelError("trace and labels batch sizes differ")
+        raise MoodlyricsError("trace and labels batch sizes differ")
     if not trace.buckets:
-        raise ModelError("backward needs a train-mode trace; this one holds no buckets")
+        raise MoodlyricsError("backward needs a train-mode trace; this one holds no buckets")
 
     d_logits = softmax_cross_entropy(trace.logits, labels, class_weights)[1].astype(params.dtype)
 
@@ -581,14 +577,14 @@ def load_checkpoint(
     """
     path = Path(path)
     if data is None:
-        data = read_input(path, "checkpoint", ModelError)
+        data = read_input(path, "checkpoint")
     if data[:4] != CHECKPOINT_MAGIC:
-        raise ModelError(f"not a model checkpoint: {path}")
+        raise MoodlyricsError(f"not a model checkpoint: {path}")
     if len(data) < 12:
-        raise ModelError(f"truncated checkpoint: {path}")
+        raise MoodlyricsError(f"truncated checkpoint: {path}")
     version, header_len = struct.unpack("<II", data[4:12])
     if version != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {version}")
+        raise MoodlyricsError(f"unsupported checkpoint version {version}")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         config = config_from_json(ModelConfig, header["model"])
@@ -600,26 +596,25 @@ def load_checkpoint(
         if (length := tokenizer.max_sequence_length) > config.max_positions:
             raise ValueError(f"tokenizer length {length} exceeds max_positions")
     # a deeply nested header makes json raise RecursionError; the config
-    # classes raise their own errors on out-of-range values
-    except (ValueError, TypeError, KeyError, RecursionError,
-            ModelError, TokenizerError, UsageError) as exc:
-        raise ModelError(f"corrupt checkpoint header in {path}: {exc}") from None
+    # classes raise MoodlyricsError on out-of-range values
+    except (ValueError, TypeError, KeyError, RecursionError, MoodlyricsError) as exc:
+        raise MoodlyricsError(f"corrupt checkpoint header in {path}: {exc}") from None
     # one entry past the list tells a longer config, however many layers it has
     expected = list(islice(_param_shape_items(config), len(listed) + 1))
     if listed != expected:
-        raise ModelError(f"checkpoint arrays do not match the stored config: {path}")
+        raise MoodlyricsError(f"checkpoint arrays do not match the stored config: {path}")
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + header_len
     for name, shape in expected:
         count = int(np.prod(shape))
         raw = data[offset : offset + 4 * count]
         if len(raw) != 4 * count:
-            raise ModelError(f"truncated checkpoint: {path}")
+            raise MoodlyricsError(f"truncated checkpoint: {path}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if not np.isfinite(arr).all():
-            raise ModelError(f"non-finite value in checkpoint array {name}: {path}")
+            raise MoodlyricsError(f"non-finite value in checkpoint array {name}: {path}")
         arrays[name] = arr
         offset += 4 * count
     if offset != len(data):
-        raise ModelError(f"trailing bytes in checkpoint: {path}")
+        raise MoodlyricsError(f"trailing bytes in checkpoint: {path}")
     return Parameters(config, arrays), vocab_hash, tokenizer

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._atomic import read_input_text, write_atomic
 from .corpus import Corpus, MoodLabel, clean_text
-from .errors import TokenizerError
+from .errors import MoodlyricsError
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -52,11 +52,11 @@ class TokenizerConfig:
 
     def __post_init__(self):
         if self.max_sequence_length < 8:
-            raise TokenizerError(
+            raise MoodlyricsError(
                 f"max_sequence_length must be >= 8, got {self.max_sequence_length}"
             )
         if self.vocab_size < 8:
-            raise TokenizerError(f"vocab_size must be >= 8, got {self.vocab_size}")
+            raise MoodlyricsError(f"vocab_size must be >= 8, got {self.vocab_size}")
 
 
 class Vocabulary:
@@ -64,11 +64,11 @@ class Vocabulary:
 
     def __init__(self, tokens: tuple[str, ...]):
         if tuple(tokens[:4]) != SPECIAL_TOKENS:
-            raise TokenizerError(
+            raise MoodlyricsError(
                 f"vocabulary must start with {' '.join(SPECIAL_TOKENS)}"
             )
         if len(set(tokens)) != len(tokens):
-            raise TokenizerError("vocabulary contains duplicate tokens")
+            raise MoodlyricsError("vocabulary contains duplicate tokens")
         self.tokens = tuple(tokens)
         self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
 
@@ -100,7 +100,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        text = read_input_text(path, "vocabulary file", TokenizerError)
+        text = read_input_text(path, "vocabulary file")
         return cls(tuple(text.splitlines()))
 
     def sha256(self) -> str:
@@ -192,18 +192,18 @@ def train_wordpiece(corpus: Corpus, config: TokenizerConfig) -> Vocabulary:
     with stale entries skipped yields the next merge.
     """
     if len(corpus) == 0:
-        raise TokenizerError("cannot train a vocabulary on an empty corpus")
+        raise MoodlyricsError("cannot train a vocabulary on an empty corpus")
     word_freq: Counter[str] = Counter()
     for rec in corpus:
         word_freq.update(_cleaned_words(rec.cleaned, config))
     if not word_freq:
-        raise TokenizerError("corpus has no words after cleaning")
+        raise MoodlyricsError("corpus has no words after cleaning")
 
     words = [_word_symbols(w) for w in word_freq]
     freqs = list(word_freq.values())
     base = sorted({sym for syms in words for sym in syms})
     if len(SPECIAL_TOKENS) + len(base) > config.vocab_size:
-        raise TokenizerError(
+        raise MoodlyricsError(
             f"vocab_size {config.vocab_size} cannot hold {len(SPECIAL_TOKENS)} "
             f"special tokens plus {len(base)} character pieces"
         )
@@ -288,7 +288,7 @@ def wordpiece_segment(word: str, vocab: Vocabulary) -> list[str]:
     the vocabulary's prefix table forward from its start, stopping at the
     first substring that begins no token."""
     if word.split() != [word]:
-        raise TokenizerError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
+        raise MoodlyricsError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
     return [vocab.tokens[i] for i in _segment_ids(word, vocab)]
 
 

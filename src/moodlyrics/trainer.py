@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from ._atomic import write_csv
 from .corpus import Corpus
-from .errors import TrainerError
+from .errors import MoodlyricsError
 from .model import (
     Parameters,
     backward,
@@ -57,28 +57,28 @@ class TrainConfig:
     def __post_init__(self):
         for key in ("learning_rate", "weight_decay", "epsilon", "max_grad_norm"):
             if not math.isfinite(getattr(self, key)):
-                raise TrainerError(f"{key} must be finite, got {getattr(self, key)}")
+                raise MoodlyricsError(f"{key} must be finite, got {getattr(self, key)}")
         if self.class_weights is not None and not all(
             math.isfinite(w) for w in self.class_weights
         ):
-            raise TrainerError(f"class_weights must be finite, got {self.class_weights}")
+            raise MoodlyricsError(f"class_weights must be finite, got {self.class_weights}")
         if self.batch_size < 1:
-            raise TrainerError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise MoodlyricsError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
-            raise TrainerError(f"epochs must be >= 1, got {self.epochs}")
+            raise MoodlyricsError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
-            raise TrainerError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise MoodlyricsError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epsilon <= 0:
-            raise TrainerError(f"epsilon must be > 0, got {self.epsilon}")
+            raise MoodlyricsError(f"epsilon must be > 0, got {self.epsilon}")
         if self.weight_decay < 0:
-            raise TrainerError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise MoodlyricsError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise TrainerError(f"betas must be in (0, 1), got {self.beta1}, {self.beta2}")
+            raise MoodlyricsError(f"betas must be in (0, 1), got {self.beta1}, {self.beta2}")
         if self.max_grad_norm <= 0:
-            raise TrainerError(f"max_grad_norm must be > 0, got {self.max_grad_norm}")
+            raise MoodlyricsError(f"max_grad_norm must be > 0, got {self.max_grad_norm}")
         if self.class_weights is not None:
             if len(self.class_weights) != 4 or any(w <= 0 for w in self.class_weights):
-                raise TrainerError(
+                raise MoodlyricsError(
                     f"class_weights needs 4 positive values, got {self.class_weights}"
                 )
 
@@ -152,7 +152,7 @@ def adamw_step(state: AdamState, lr: float, config: TrainConfig) -> None:
     bias_c2 = 1.0 - config.beta2**state.step
     if not all(np.isfinite(group.grad).all() for group in state.groups):
         bad = next(name for name, grad in state.grads.items() if not np.isfinite(grad).all())
-        raise TrainerError(f"non-finite gradient for {bad} at step {state.step}")
+        raise MoodlyricsError(f"non-finite gradient for {bad} at step {state.step}")
     for group in state.groups:
         _kernels.adamw_update(
             group.param, group.grad, group.m, group.v,
@@ -165,9 +165,9 @@ def adamw_step(state: AdamState, lr: float, config: TrainConfig) -> None:
 def linear_schedule(step: int, total_steps: int, base_lr: float) -> float:
     """Linear decay from base_lr at step 0 to 0 at total_steps; no warmup."""
     if total_steps < 1:
-        raise TrainerError(f"total_steps must be >= 1, got {total_steps}")
+        raise MoodlyricsError(f"total_steps must be >= 1, got {total_steps}")
     if not 0 <= step <= total_steps:
-        raise TrainerError(f"step {step} out of range [0, {total_steps}]")
+        raise MoodlyricsError(f"step {step} out of range [0, {total_steps}]")
     return base_lr * (1.0 - step / total_steps)
 
 
@@ -215,7 +215,7 @@ def evaluate(params: Parameters, examples: list[EncodedExample]) -> tuple[float,
     """Mean loss and accuracy over a split, from ``classify``'s eval-mode
     logits (EVAL_BATCH examples per forward, whatever the train batch)."""
     if not examples:
-        raise TrainerError("cannot evaluate an empty split")
+        raise MoodlyricsError("cannot evaluate an empty split")
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
     logits = classify(params, examples)
     correct = int((logits.argmax(axis=1) == labels).sum())
@@ -240,7 +240,7 @@ def train(
     given, written there once after the last epoch, so a run that raises
     writes no checkpoint. The steps and each epoch's evaluation run with
     numpy overflow, invalid and divide-by-zero raising, so a run that
-    diverges stops with one ``TrainerError`` naming the epoch, where it
+    diverges stops with one ``MoodlyricsError`` naming the epoch, where it
     failed (the step, counted from 0, or the evaluation after the epoch's
     last step), that step's learning rate and the operation that failed;
     underflow is ignored. ``log`` is an optional callable taking one line.
@@ -250,7 +250,7 @@ def train(
     train_examples = encode_corpus(train_corpus, vocab, tokenizer_config)
     val_examples = encode_corpus(val_corpus, vocab, tokenizer_config)
     if not train_examples or not val_examples:
-        raise TrainerError("train and validation splits must be nonempty")
+        raise MoodlyricsError("train and validation splits must be nonempty")
     n, batch_size = len(train_examples), train_config.batch_size
     total_steps = train_config.epochs * math.ceil(n / batch_size)
     seeds = np.random.SeedSequence(train_config.seed).spawn(2)
@@ -278,8 +278,8 @@ def train(
                 train_loss, train_acc = evaluate(params, train_examples)
                 val_loss, val_acc = evaluate(params, val_examples)
         except FloatingPointError as exc:
-            raise TrainerError(f"training diverged at epoch {epoch}{where} "
-                               f"(lr {lr:.3g}): {exc}") from None
+            raise MoodlyricsError(f"training diverged at epoch {epoch}{where} "
+                                  f"(lr {lr:.3g}): {exc}") from None
         # strict, so the first epoch with the highest accuracy wins ties
         if val_acc > max(history.val_acc, default=-math.inf):
             history.best_epoch, best_params = epoch, params.copy()

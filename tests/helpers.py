@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from moodlyrics import trainer
-from moodlyrics.errors import TrainerError
+from moodlyrics.errors import MoodlyricsError
 from moodlyrics.model import Parameters, backward, forward, softmax_cross_entropy
 from moodlyrics.tokenizer import EncodedExample
 
@@ -41,7 +41,7 @@ class TrainHistory(trainer.TrainHistory):
             reader = csv.reader(fh)
             header = next(reader)
             if header != trainer.HISTORY_HEADER:
-                raise TrainerError(f"malformed history header: {header}")
+                raise MoodlyricsError(f"malformed history header: {header}")
             for row in reader:
                 history.train_loss.append(float(row[1]))
                 history.train_acc.append(float(row[2]))

@@ -21,7 +21,7 @@ import numpy as np
 
 from moodlyrics._kernels import softmax_inplace
 from moodlyrics.corpus import MoodLabel
-from moodlyrics.errors import TokenizerError
+from moodlyrics.errors import MoodlyricsError
 
 N_CLASSES = len(MoodLabel)
 
@@ -139,22 +139,22 @@ def wordpiece_full_recount(corpus, config) -> tuple[str, ...]:
     adjacent pair of every word type (overlaps included, weighted by word
     frequency), take the most frequent with ties to the smallest pair, stop
     below a count of 2, and rewrite every word left to right without
-    overlaps. Raises the same :class:`TokenizerError` messages as
+    overlaps. Raises the same :class:`MoodlyricsError` messages as
     ``train_wordpiece``."""
     specials = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"]
     if len(corpus) == 0:
-        raise TokenizerError("cannot train a vocabulary on an empty corpus")
+        raise MoodlyricsError("cannot train a vocabulary on an empty corpus")
     word_freq: Counter = Counter()
     for rec in corpus:
         text = clean_text_by_category(rec.lyrics)
         word_freq.update((text.lower() if config.lowercase else text).split())
     if not word_freq:
-        raise TokenizerError("corpus has no words after cleaning")
+        raise MoodlyricsError("corpus has no words after cleaning")
 
     words = {w: [w[0]] + ["##" + ch for ch in w[1:]] for w in word_freq}
     base = sorted({sym for syms in words.values() for sym in syms})
     if len(specials) + len(base) > config.vocab_size:
-        raise TokenizerError(
+        raise MoodlyricsError(
             f"vocab_size {config.vocab_size} cannot hold {len(specials)} "
             f"special tokens plus {len(base)} character pieces"
         )
@@ -193,10 +193,10 @@ def wordpiece_full_recount(corpus, config) -> tuple[str, ...]:
 
 def wordpiece_segment_uncapped(word: str, vocab) -> list[str]:
     """Greedy longest-prefix segmentation that tries every end position
-    from the end of the word; raises the same :class:`TokenizerError` as
+    from the end of the word; raises the same :class:`MoodlyricsError` as
     ``wordpiece_segment``."""
     if not word or any(ch.isspace() for ch in word):
-        raise TokenizerError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
+        raise MoodlyricsError(f"segmentation needs a nonempty whitespace-free word, got {word!r}")
     pieces = []
     start = 0
     while start < len(word):

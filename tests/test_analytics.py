@@ -9,7 +9,7 @@ from moodlyrics.analytics import (
     lexical_stats,
 )
 from moodlyrics.corpus import Corpus, MoodLabel, SongRecord
-from moodlyrics.errors import AnalyticsError
+from moodlyrics.errors import MoodlyricsError
 
 from helpers import read_plot_csv
 from oracles import density_curve_by_bin
@@ -61,7 +61,7 @@ class TestLexicalStats:
         assert stats.lexical_density == pytest.approx(2 / 3)
 
     def test_empty_after_cleaning_is_error(self):
-        with pytest.raises(AnalyticsError):
+        with pytest.raises(MoodlyricsError, match="no tokens after cleaning"):
             lexical_stats(song("!!!"))
 
     def test_ttr_one_iff_all_distinct(self):
@@ -80,7 +80,7 @@ class TestDensityCurve:
         assert curve[0][1] == 1.0
 
     def test_empty_corpus_is_error(self):
-        with pytest.raises(AnalyticsError):
+        with pytest.raises(MoodlyricsError, match="density curve on an empty corpus"):
             density_curve(Corpus((), "x"))
 
     def test_bins_partition_points(self):
@@ -150,9 +150,9 @@ class TestEmitPlot:
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
 
     def test_rejects_empty_and_unknown_kind(self, tmp_path):
-        with pytest.raises(AnalyticsError):
+        with pytest.raises(MoodlyricsError, match="cannot plot empty series"):
             emit_plot([], tmp_path / "x.svg", "line")
-        with pytest.raises(AnalyticsError):
+        with pytest.raises(MoodlyricsError, match="unknown plot kind 'pie'"):
             emit_plot([("s", [(1.0, 1.0)])], tmp_path / "x.svg", "pie")
 
     # SHA-256 of the SVG and of its sidecar CSV, recorded from the renderer

@@ -14,6 +14,7 @@ from moodlyrics.analytics import emit_plot
 from moodlyrics.baseline import nb_train, save_nb
 from moodlyrics.cli import RunManifest
 from moodlyrics.corpus import MoodLabel, save_corpus
+from moodlyrics.errors import MoodlyricsError
 from moodlyrics.evaluation import confusion, report, save_confusion_csv, save_report_csv
 from moodlyrics.model import init_model, save_checkpoint
 from moodlyrics.trainer import TrainHistory
@@ -154,6 +155,42 @@ def test_every_file_read_goes_through_atomic_module():
     assert offenders == [], "read through _atomic.read_input or read_input_text instead"
 
 
+def _is_exception(name, bases):
+    """Whether the class ``name`` derives from ``BaseException``, given each
+    package class's base names."""
+    builtin = getattr(builtins, name, None)
+    if isinstance(builtin, type):
+        return issubclass(builtin, BaseException)
+    return any(_is_exception(base, bases) for base in bases.get(name, ()))
+
+
+def test_one_exception_class_and_a_read_path_without_one():
+    """Every refusal is a ``MoodlyricsError``: the package defines no other
+    exception class, and its read path takes no exception class to raise."""
+    package = Path(moodlyrics.__file__).parent
+    trees = {source.name: ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted(package.glob("*.py"))}
+    classes = {node.name: (module, [ast.unparse(base) for base in node.bases])
+               for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    bases = {name: names for name, (_, names) in classes.items()}
+    exceptions = [f"{module}:{name}" for name, (module, _) in classes.items()
+                  if _is_exception(name, bases)]
+    assert exceptions == ["errors.py:MoodlyricsError"]
+
+    readers = {node.name: node.args
+               for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in {"read_input", "read_input_text", "_read_hashed"}}
+    assert sorted(readers) == ["_read_hashed", "read_input", "read_input_text"]
+    for name, args in readers.items():
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+            assert arg.arg != "error" and not any(
+                word in annotation for word in ("Exception", "Error")
+            ), f"{name} takes an exception class: {arg.arg}: {annotation}"
+
+
 @pytest.mark.parametrize(
     "code, hits",
     [
@@ -170,10 +207,6 @@ def test_read_guard_finds_reads(code, hits):
     assert len(list(_file_reads(ast.parse(code)))) == hits
 
 
-class _InputError(Exception):
-    pass
-
-
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -185,25 +218,25 @@ class _InputError(Exception):
 )
 def test_read_input_names_the_file(tmp_path, make, message):
     path = make(tmp_path)
-    with pytest.raises(_InputError) as excinfo:
-        _atomic.read_input(path, "thing", _InputError)
+    with pytest.raises(MoodlyricsError) as excinfo:
+        _atomic.read_input(path, "thing")
     assert str(excinfo.value) == f"{message}{path}"
 
 
 def test_read_input_refuses_a_fifo_without_blocking(tmp_path):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
-    with pytest.raises(_InputError, match="not found"):
-        _atomic.read_input(fifo, "thing", _InputError)
+    with pytest.raises(MoodlyricsError, match="not found"):
+        _atomic.read_input(fifo, "thing")
 
 
 def test_read_input_text_is_strict_utf8_without_newline_translation(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes("a\r\nb\rগান\n".encode("utf-8"))
-    assert _atomic.read_input_text(path, "thing", _InputError) == "a\r\nb\rগান\n"
+    assert _atomic.read_input_text(path, "thing") == "a\r\nb\rগান\n"
     path.write_bytes(b"ok\n\xe9\n")
-    with pytest.raises(_InputError) as excinfo:
-        _atomic.read_input_text(path, "thing", _InputError)
+    with pytest.raises(MoodlyricsError) as excinfo:
+        _atomic.read_input_text(path, "thing")
     assert str(excinfo.value) == (
         f"thing is not UTF-8: {path} (invalid continuation byte at byte 3)"
     )

@@ -23,7 +23,7 @@ from moodlyrics.corpus import (
     stratified_split,
     synthesize_corpus,
 )
-from moodlyrics.errors import BaselineError
+from moodlyrics.errors import MoodlyricsError
 
 from oracles import (
     nb_brute_force_posterior,
@@ -76,20 +76,20 @@ class TestNbTrain:
 
     def test_alpha_zero_is_error(self):
         corpus = synthesize_corpus(seed=3, per_class=2)
-        with pytest.raises(BaselineError):
+        with pytest.raises(MoodlyricsError, match="alpha must be finite and > 0"):
             nb_train(corpus, alpha=0.0)
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e308])
     def test_alpha_that_zeroes_a_likelihood_is_error(self, alpha):
         corpus = synthesize_corpus(seed=3, per_class=2)
         # the error alone: no numpy divide-by-zero warning ahead of it
-        with warnings.catch_warnings(), pytest.raises(BaselineError, match="likelihood of 0"):
+        with warnings.catch_warnings(), pytest.raises(MoodlyricsError, match="likelihood of 0"):
             warnings.simplefilter("error")
             nb_train(corpus, alpha=alpha)
 
     def test_missing_class_is_error(self):
         corpus = corpus_from([("x", MoodLabel.HAPPY), ("y", MoodLabel.SAD)])
-        with pytest.raises(BaselineError, match="missing"):
+        with pytest.raises(MoodlyricsError, match="missing"):
             nb_train(corpus)
 
     def test_likelihoods_sum_to_one_per_class(self):
@@ -212,6 +212,7 @@ VALID_NB = (
     b"priors\t-1.4\t-1.3\t-1.2\t-1.6\nword\tx\t-1.0\t-0.5\t-0.25\t-2.0\n"
     b"word\ty\t-1.5\t-1.5\t-1.5\t-1.5\n"
 )
+MALFORMED = "^malformed model file: "
 
 
 class TestSerialization:
@@ -229,31 +230,32 @@ class TestSerialization:
             assert np.array_equal(post_a, post_b)
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            b"hello",
-            b"moodlyrics-nb v1\n",
-            b"moodlyrics-nb v1\nalpha\tabc\nclasses\npriors\t0\t0\t0\t0\n",
-            b"moodlyrics-nb v1\nalpha\t1.0\n\xff\xfe\n",
-            b"moodlyrics-nb v1\nalpha\t1.0\nclasses\thappy\tsad\tromantic\trelaxed\n"
-            b"priors\t-1.4\t-1.4\t-1.4\nword\tx\t-1.0\t-1.0\t-1.0\t-1.0\n",
-            VALID_NB.replace(b"happy\tsad\tromantic\trelaxed", b"relaxed\tromantic\tsad\thappy"),
-            VALID_NB.replace(b"alpha\t1.0", b"alpha\t-3.0"),
-            VALID_NB.replace(b"alpha\t1.0", b"alpha\t0.0"),
-            VALID_NB.replace(b"alpha\t1.0", b"smoothing\t1.0"),
-            VALID_NB.replace(b"alpha\t1.0", b"alpha\t1.0\t2.0"),
-            VALID_NB.replace(b"priors", b"prior"),
-            VALID_NB + b"word\tx\t-2.0\t-2.0\t-2.0\t-2.0\n",
+            (b"hello", "^not a Naive Bayes model file: "),
+            (b"moodlyrics-nb v1\n", MALFORMED),
+            (b"moodlyrics-nb v1\nalpha\tabc\nclasses\npriors\t0\t0\t0\t0\n", MALFORMED),
+            (b"moodlyrics-nb v1\nalpha\t1.0\n\xff\xfe\n", "^model file is not UTF-8: "),
+            (b"moodlyrics-nb v1\nalpha\t1.0\nclasses\thappy\tsad\tromantic\trelaxed\n"
+             b"priors\t-1.4\t-1.4\t-1.4\nword\tx\t-1.0\t-1.0\t-1.0\t-1.0\n", MALFORMED),
+            (VALID_NB.replace(b"happy\tsad\tromantic\trelaxed", b"relaxed\tromantic\tsad\thappy"),
+             MALFORMED),
+            (VALID_NB.replace(b"alpha\t1.0", b"alpha\t-3.0"), MALFORMED),
+            (VALID_NB.replace(b"alpha\t1.0", b"alpha\t0.0"), MALFORMED),
+            (VALID_NB.replace(b"alpha\t1.0", b"smoothing\t1.0"), MALFORMED),
+            (VALID_NB.replace(b"alpha\t1.0", b"alpha\t1.0\t2.0"), MALFORMED),
+            (VALID_NB.replace(b"priors", b"prior"), MALFORMED),
+            (VALID_NB + b"word\tx\t-2.0\t-2.0\t-2.0\t-2.0\n", MALFORMED),
         ],
         ids=["not-a-model", "format-line-only", "alpha-not-float", "not-utf8",
              "three-priors", "classes-reordered", "alpha-negative", "alpha-zero",
              "alpha-key-renamed", "alpha-two-values", "priors-key-renamed",
              "word-repeated"],
     )
-    def test_rejects_garbage_file(self, tmp_path, data):
+    def test_rejects_garbage_file(self, tmp_path, data, message):
         path = tmp_path / "bad.nb"
         path.write_bytes(data)
-        with pytest.raises(BaselineError):
+        with pytest.raises(MoodlyricsError, match=message):
             load_nb(path)
 
     def test_hand_written_file_loads(self, tmp_path):

@@ -18,7 +18,7 @@ from moodlyrics.corpus import (
     stratified_split,
     synthesize_corpus,
 )
-from moodlyrics.errors import CorpusError
+from moodlyrics.errors import MoodlyricsError
 
 from oracles import clean_text_by_category, write_counts_csv
 
@@ -40,7 +40,7 @@ class TestMoodLabel:
         assert MoodLabel.parse(" ROMANTIC ") is MoodLabel.ROMANTIC
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(MoodlyricsError, match="unknown mood label: 'angry'"):
             MoodLabel.parse("angry")
 
 
@@ -163,7 +163,7 @@ class TestLoadCorpus:
     def test_header_only_is_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("title,category,lyrics,mood\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match="zero surviving rows"):
+        with pytest.raises(MoodlyricsError, match="zero surviving rows"):
             load_corpus(path)
 
     def test_empty_lyrics_row_dropped_and_counted(self, tmp_path):
@@ -199,13 +199,13 @@ class TestLoadCorpus:
         assert len(corpus) == 1 and report.bad_mood == 1
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CorpusError, match="not found"):
+        with pytest.raises(MoodlyricsError, match="not found"):
             load_corpus(tmp_path / "nope.csv")
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("title,category,mood\na,x,happy\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match="malformed header"):
+        with pytest.raises(MoodlyricsError, match="malformed header"):
             load_corpus(path)
 
     def test_reload_is_identity_and_order_stable(self, tmp_path):
@@ -235,7 +235,7 @@ class TestMoodDistribution:
         assert sum(dist.counts.values()) == 10
 
     def test_empty_corpus_is_error(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(MoodlyricsError, match="mood distribution of an empty corpus"):
             mood_distribution(Corpus((), "empty"))
 
     def test_counts_sum_to_corpus_size(self):
@@ -265,18 +265,18 @@ class TestStratifiedSplit:
     def test_too_small_class_is_error(self):
         moods = [m for m in MoodLabel for _ in range(5)][:-3]  # RELAXED gets 2
         corpus = make_corpus(moods)
-        with pytest.raises(CorpusError, match="fewer than"):
+        with pytest.raises(MoodlyricsError, match="fewer than"):
             stratified_split(corpus, (0.8, 0.1, 0.1), seed=0)
 
     def test_bad_ratios(self):
         corpus = synthesize_corpus(seed=2, per_class=4)
-        with pytest.raises(CorpusError):
+        with pytest.raises(MoodlyricsError, match="must sum to 1, got 1.1"):
             stratified_split(corpus, (0.5, 0.4, 0.2), seed=0)
-        with pytest.raises(CorpusError):
+        with pytest.raises(MoodlyricsError, match="split ratios must be positive"):
             stratified_split(corpus, (0.9, -0.1, 0.2), seed=0)
-        with pytest.raises(CorpusError):
+        with pytest.raises(MoodlyricsError, match="need 3 split ratios"):
             stratified_split(corpus, (0.5, 0.5), seed=0)
-        with pytest.raises(CorpusError):
+        with pytest.raises(MoodlyricsError, match="need 3 split ratios"):
             stratified_split(corpus, (0.4, 0.3, 0.2, 0.1), seed=0)
 
     def test_partition_and_per_class_deviation(self):
@@ -311,7 +311,7 @@ class TestSynthesizeCorpus:
         assert a.read_bytes() == b.read_bytes()
 
     def test_per_class_zero_is_error(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(MoodlyricsError, match="per_class must be >= 1"):
             synthesize_corpus(seed=1, per_class=0)
 
     def test_keyword_pools_are_disjoint_across_moods(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moodlyrics.corpus import MoodLabel
-from moodlyrics.errors import EvaluationError
+from moodlyrics.errors import MoodlyricsError
 from moodlyrics.evaluation import (
     ConfusionMatrix,
     accuracy_curve,
@@ -48,11 +48,11 @@ class TestConfusion:
         assert matrix.cells[int(S), int(H)] == 1
 
     def test_length_mismatch(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(MoodlyricsError, match="length mismatch: 1 vs 2"):
             confusion([H], [H, S])
 
     def test_empty(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(MoodlyricsError, match="from zero examples"):
             confusion([], [])
 
     def test_total_and_support(self):
@@ -162,5 +162,5 @@ class TestOutputs:
         assert [y for _, y in series["validation"]] == history.val_acc
 
     def test_empty_history_is_error(self, tmp_path):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(MoodlyricsError, match="empty training history"):
             accuracy_curve(TrainHistory(), tmp_path / "acc.svg")

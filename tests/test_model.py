@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from moodlyrics import _kernels, model
 from moodlyrics.corpus import MoodLabel
-from moodlyrics.errors import ModelError
+from moodlyrics.errors import MoodlyricsError
 from moodlyrics.model import (
     EVAL_BATCH,
     ModelConfig,
@@ -42,7 +42,7 @@ def attention(
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     mask = np.asarray(mask)
     if mask.sum() == 0:
-        raise ModelError("attention mask has no unmasked positions")
+        raise MoodlyricsError("attention mask has no unmasked positions")
     d_head = q.shape[-1]
     scores = (q @ k.T) / np.sqrt(d_head)
     probs = _kernels.masked_softmax(
@@ -105,11 +105,11 @@ def bucket_of(example) -> int:
 
 class TestConfig:
     def test_indivisible_heads_rejected(self):
-        with pytest.raises(ModelError, match="divisible"):
+        with pytest.raises(MoodlyricsError, match="divisible"):
             ModelConfig(vocab_size=10, max_positions=8, hidden_size=64, num_heads=3)
 
     def test_num_classes_fixed(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(MoodlyricsError, match="num_classes must be 4"):
             ModelConfig(vocab_size=10, max_positions=8, num_classes=3)
 
     def test_ffn_default_is_4x(self):
@@ -164,7 +164,7 @@ class TestSoftmax:
         assert np.allclose(probs, [0.25, 0.75], atol=1e-12)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(MoodlyricsError, match="non-finite input to softmax"):
             softmax(np.array([np.nan, 0.0]))
 
     def test_shift_invariance(self):
@@ -211,7 +211,7 @@ class TestAttention:
 
     def test_all_masked_is_error(self):
         q = k = v = np.ones((2, 2))
-        with pytest.raises(ModelError):
+        with pytest.raises(MoodlyricsError, match="no unmasked positions"):
             attention(q, k, v, np.array([0, 0]))
 
     def test_rows_sum_to_one_under_random_masks(self):
@@ -338,12 +338,12 @@ class TestForward:
 
         ids = np.array([2, 10_000, 3, 0], dtype=np.int32)
         mask = np.array([1, 1, 1, 0], dtype=np.int32)
-        with pytest.raises(ModelError, match="out of range"):
+        with pytest.raises(MoodlyricsError, match="out of range"):
             forward(tiny_params, [EncodedExample(ids, mask)], mode="eval")
 
     def test_train_mode_without_rng_is_error(self, synth32, vocab32, tok_config, tiny_params):
         batch = batch_from(synth32, vocab32, tok_config, 2)
-        with pytest.raises(ModelError, match="rng"):
+        with pytest.raises(MoodlyricsError, match="rng"):
             forward(tiny_params, batch, mode="train")
 
     def test_padded_ids_never_change_logits(self, synth32, vocab32, tok_config, tiny_params):
@@ -605,7 +605,7 @@ class TestClassify:
         assert trace.buckets == []
         assert trace.ids.shape == (len(batch), max(bucket_of(ex) for ex in batch))
         labels = np.array([int(ex.label) for ex in batch])
-        with pytest.raises(ModelError, match="train-mode trace"):
+        with pytest.raises(MoodlyricsError, match="train-mode trace"):
             backward(tiny_params, trace, labels)
 
     def test_eval_trace_holds_only_logits_and_ids(self):
@@ -687,22 +687,21 @@ class TestCheckpoint:
             assert np.array_equal(loaded[name], params32[name])
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            b"not a checkpoint",
-            b"MLCP\x01\x00",
-            checkpoint_container(b"{not json"),
-            checkpoint_container(
-                b'{"model":{"vocab_size":8,"max_positions":8,"bogus":1}}'
-            ),
+            (b"not a checkpoint", "^not a model checkpoint: "),
+            (b"MLCP\x01\x00", "^truncated checkpoint: "),
+            (checkpoint_container(b"{not json"), "^corrupt checkpoint header in .*: Expecting"),
+            (checkpoint_container(b'{"model":{"vocab_size":8,"max_positions":8,"bogus":1}}'),
+             "^corrupt checkpoint header in .*'bogus'"),
         ],
         ids=["not-a-checkpoint", "shorter-than-12-bytes", "header-not-json",
              "unknown-model-key"],
     )
-    def test_rejects_garbage(self, tmp_path, data):
+    def test_rejects_garbage(self, tmp_path, data, message):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(data)
-        with pytest.raises(ModelError):
+        with pytest.raises(MoodlyricsError, match=message):
             load_checkpoint(path)
 
     def test_rejects_truncation(self, tiny_params, tok_config, tmp_path):
@@ -710,9 +709,9 @@ class TestCheckpoint:
         path = save_checkpoint(tmp_path / "m.ckpt", params32, "h", tok_config)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(ModelError, match="truncated"):
+        with pytest.raises(MoodlyricsError, match="truncated"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ModelError, match="not found"):
+        with pytest.raises(MoodlyricsError, match="not found"):
             load_checkpoint(tmp_path / "none.ckpt")

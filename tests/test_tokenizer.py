@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from moodlyrics import tokenizer as tokenizer_module
 from moodlyrics.corpus import Corpus, MoodLabel, SongRecord
-from moodlyrics.errors import TokenizerError
+from moodlyrics.errors import MoodlyricsError
 from moodlyrics.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -52,9 +52,9 @@ class TestWordTokenize:
 
 class TestConfig:
     def test_bounds(self):
-        with pytest.raises(TokenizerError):
+        with pytest.raises(MoodlyricsError, match="max_sequence_length must be >= 8"):
             TokenizerConfig(max_sequence_length=4)
-        with pytest.raises(TokenizerError):
+        with pytest.raises(MoodlyricsError, match="vocab_size must be >= 8"):
             TokenizerConfig(vocab_size=4)
 
     def test_lowercase_latin_only(self):
@@ -81,7 +81,7 @@ class TestTrainWordpiece:
 
     def test_budget_too_small_for_characters(self):
         corpus = corpus_of("abcdefghij")
-        with pytest.raises(TokenizerError, match="cannot hold"):
+        with pytest.raises(MoodlyricsError, match="cannot hold"):
             train_wordpiece(corpus, TokenizerConfig(vocab_size=8, max_sequence_length=8))
 
     def test_vocab_capped_at_budget(self, synth32):
@@ -106,8 +106,8 @@ class TestTrainWordpiece:
 def tokens_or_error(fn):
     try:
         return fn()
-    except TokenizerError as exc:
-        return ("TokenizerError", str(exc))
+    except MoodlyricsError as exc:
+        return ("MoodlyricsError", str(exc))
 
 
 @st.composite
@@ -181,11 +181,11 @@ class TestVocabulary:
         assert vocab.id_of["[SEP]"] == SEP_ID == 3
 
     def test_rejects_bad_specials(self):
-        with pytest.raises(TokenizerError):
+        with pytest.raises(MoodlyricsError, match=r"must start with \[PAD\]"):
             Vocabulary(("[PAD]", "[CLS]", "[UNK]", "[SEP]"))
 
     def test_rejects_duplicates(self):
-        with pytest.raises(TokenizerError):
+        with pytest.raises(MoodlyricsError, match="duplicate tokens"):
             Vocabulary(SPECIAL_TOKENS + ("x", "x"))
 
     def test_file_round_trip_and_hash(self, vocab32, tmp_path):
@@ -217,9 +217,9 @@ class TestSegment:
         assert wordpiece_segment("abbbab", vocab) == ["abb", "##bab"]
 
     def test_rejects_empty_or_spaced(self):
-        with pytest.raises(TokenizerError):
+        with pytest.raises(MoodlyricsError, match="nonempty whitespace-free word, got ''"):
             wordpiece_segment("", small_vocab("a"))
-        with pytest.raises(TokenizerError):
+        with pytest.raises(MoodlyricsError, match="nonempty whitespace-free word, got 'a b'"):
             wordpiece_segment("a b", small_vocab("a"))
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)

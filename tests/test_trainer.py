@@ -7,7 +7,7 @@ import pytest
 
 import moodlyrics.trainer as trainer_module
 from moodlyrics.corpus import synthesize_corpus
-from moodlyrics.errors import TrainerError
+from moodlyrics.errors import MoodlyricsError
 from moodlyrics.model import ModelConfig, Parameters, init_model, load_checkpoint
 from moodlyrics.tokenizer import TokenizerConfig, encode_corpus, train_wordpiece
 from moodlyrics.trainer import (
@@ -66,7 +66,7 @@ class TestAdamW:
     def test_non_finite_gradient_rejected(self):
         _, state = single_param([0.0])
         state.grads["w"][0] = np.nan
-        with pytest.raises(TrainerError, match="non-finite"):
+        with pytest.raises(MoodlyricsError, match="non-finite"):
             adamw_step(state, 0.1, TrainConfig())
 
     def test_non_finite_gradient_names_first_array_and_changes_nothing(self):
@@ -79,7 +79,7 @@ class TestAdamW:
         grads["w1"][:] = 1.0
         grads["b"][1] = np.inf
         grads["w2"][0, 0] = np.nan
-        with pytest.raises(TrainerError, match="non-finite gradient for b at step 1$"):
+        with pytest.raises(MoodlyricsError, match="non-finite gradient for b at step 1$"):
             adamw_step(state, 0.1, TrainConfig())
         for name, arr in params.items():
             assert np.array_equal(arr, before[name])
@@ -148,11 +148,11 @@ class TestLinearSchedule:
         assert all(v > 0 for v in values[:-1])
 
     def test_out_of_range(self):
-        with pytest.raises(TrainerError):
+        with pytest.raises(MoodlyricsError, match="step -1 out of range"):
             linear_schedule(-1, 10, 1e-3)
-        with pytest.raises(TrainerError):
+        with pytest.raises(MoodlyricsError, match="step 11 out of range"):
             linear_schedule(11, 10, 1e-3)
-        with pytest.raises(TrainerError):
+        with pytest.raises(MoodlyricsError, match="total_steps must be >= 1"):
             linear_schedule(0, 0, 1e-3)
 
 
@@ -334,7 +334,7 @@ class TestTrain:
             per_class=per_class, epochs=2, max_grad_norm=1e30
         )
         config = dataclasses.replace(config, learning_rate=1e6)
-        with pytest.raises(TrainerError) as caught:
+        with pytest.raises(MoodlyricsError, match="^training diverged at ") as caught:
             train(params, corpus, corpus, vocab, tok_config, config,
                   checkpoint_path=tmp_path / "m.ckpt")
         message = str(caught.value)
@@ -343,9 +343,9 @@ class TestTrain:
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_config_validation(self):
-        with pytest.raises(TrainerError):
+        with pytest.raises(MoodlyricsError, match="batch_size must be >= 1"):
             TrainConfig(batch_size=0)
-        with pytest.raises(TrainerError):
+        with pytest.raises(MoodlyricsError, match="epochs must be >= 1"):
             TrainConfig(epochs=0)
-        with pytest.raises(TrainerError):
+        with pytest.raises(MoodlyricsError, match="learning_rate must be > 0"):
             TrainConfig(learning_rate=-1.0)
