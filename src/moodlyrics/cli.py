@@ -129,7 +129,10 @@ def _derive_seed(args, name: str, run: RunManifest) -> int:
 
 def _resolve_out(args) -> tuple[Path, tempfile.TemporaryDirectory]:
     """The output directory, made if missing, and a hidden staging directory
-    inside it, on the same filesystem so that publishing is a rename."""
+    inside it, on the same filesystem so that publishing is a rename. Only a
+    missing --out falls back to ``MOODLYRICS_OUT`` or the default."""
+    if args.out == "":  # Path("") would be the current directory
+        raise MoodlyricsError("--out must name a directory, got ''")
     out = args.out or os.environ.get("MOODLYRICS_OUT") or "moodlyrics_out"
     out_dir = Path(out)
     verb = "create"

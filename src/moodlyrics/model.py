@@ -20,9 +20,9 @@ the result equals the full-length computation up to float rounding. The
 bucket depends on the example alone, so an example's logits do not depend
 on its batch-mates.
 
-Checkpoints are a versioned binary container: JSON header (config, vocab
-hash, array index) followed by every parameter array as little-endian
-float32, validated against the config on load.
+Checkpoints are a versioned binary container: JSON header (model config,
+tokenizer settings, vocab hash) followed by every parameter array as
+little-endian float32, in the order and shapes the model config fixes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -545,14 +544,9 @@ def save_checkpoint(
     in the header so evaluation can rebuild the encoding pipeline.
     """
     header = {
-        "format": "moodlyrics-checkpoint",
-        "version": CHECKPOINT_VERSION,
         "model": asdict(params.config),
         "vocab_sha256": vocab_sha256,
         "tokenizer": asdict(tokenizer_config),
-        "arrays": [
-            {"name": name, "shape": list(arr.shape)} for name, arr in params.items()
-        ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -560,8 +554,8 @@ def save_checkpoint(
         yield CHECKPOINT_MAGIC
         yield struct.pack("<II", CHECKPOINT_VERSION, len(blob))
         yield blob
-        for arr in params.arrays.values():
-            yield np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        for name, _ in _param_shape_items(params.config):
+            yield np.ascontiguousarray(params[name], dtype="<f4").tobytes()
 
     return write_atomic(path, chunks())
 
@@ -570,8 +564,9 @@ def load_checkpoint(
     path: str | Path, *, data: bytes | None = None
 ) -> tuple[Parameters, str, TokenizerConfig]:
     """Read a checkpoint (or ``data``, its bytes already read), validating
-    magic, version, that the header lists the stored config's arrays in its
-    order, each once, and that every value is finite; shapes are the config's.
+    magic, version and header, and that every value is finite. The arrays
+    are read one by one in the stored config's order and shapes, stopping
+    at the first one the data lacks; other header keys are ignored.
 
     Returns (parameters, vocab hash, tokenizer settings).
     """
@@ -588,7 +583,6 @@ def load_checkpoint(
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         config = config_from_json(ModelConfig, header["model"])
-        listed = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
         vocab_hash = header["vocab_sha256"]
         if not isinstance(vocab_hash, str):
             raise TypeError(f"vocab_sha256 must be a string, got {vocab_hash!r}")
@@ -599,13 +593,9 @@ def load_checkpoint(
     # classes raise MoodlyricsError on out-of-range values
     except (ValueError, TypeError, KeyError, RecursionError, MoodlyricsError) as exc:
         raise MoodlyricsError(f"corrupt checkpoint header in {path}: {exc}") from None
-    # one entry past the list tells a longer config, however many layers it has
-    expected = list(islice(_param_shape_items(config), len(listed) + 1))
-    if listed != expected:
-        raise MoodlyricsError(f"checkpoint arrays do not match the stored config: {path}")
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + header_len
-    for name, shape in expected:
+    for name, shape in _param_shape_items(config):
         count = int(np.prod(shape))
         raw = data[offset : offset + 4 * count]
         if len(raw) != 4 * count:

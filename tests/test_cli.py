@@ -32,7 +32,7 @@ from moodlyrics._config import _CODECS, parse_setting
 from moodlyrics.cli import main
 from moodlyrics.corpus import clean_text, load_corpus, save_corpus, synthesize_corpus
 from moodlyrics.errors import MoodlyricsError
-from moodlyrics.model import ModelConfig
+from moodlyrics.model import ModelConfig, param_shapes
 from moodlyrics.tokenizer import TokenizerConfig
 from moodlyrics.trainer import TrainConfig
 
@@ -419,6 +419,18 @@ def test_empty_input_path_exits_2(tmp_path, capsys, command):
     assert err == "error: corpus file not found: .\n"
 
 
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_empty_out_exits_2(corpus_csv, tmp_path, monkeypatch, capsys, command):
+    """``--out ""`` is refused, not taken for a missing --out: the command
+    writes nothing into the default directory or the current one."""
+    monkeypatch.chdir(tmp_path)
+    code = run([command, "--input", corpus_csv, "--out", ""])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert err == "error: --out must name a directory, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n", encoding="utf-8")
@@ -474,7 +486,7 @@ def _nb_field(nb_text: str, line: int, index: int, value: str) -> str:
      "tokenizer-null", "header-deeply-nested", "nb-priors-short", "nb-alpha-nan",
      "nb-prior-nan", "nb-likelihood-inf", "model-heads-indivisible", "tokenizer-vocab-zero",
      "nb-classes-reordered", "nb-alpha-negative", "nb-word-repeated",
-     "arrays-swapped", "array-listed-twice", "neither-format"],
+     "trailing-array-bytes", "neither-format"],
 )
 def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
     checkpoint = (trained / "checkpoint.ckpt").read_bytes()
@@ -496,10 +508,9 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
         bad.write_bytes(with_header_bytes(checkpoint, b"[" * 100_000))
     elif which == "neither-format":
         bad.write_text(LYRICS, encoding="utf-8")
-    elif which == "array-listed-twice":
-        # the last array, head.b, listed again, with a second copy's bytes
-        bad.write_bytes(with_header(checkpoint, lambda h: h["arrays"].append(h["arrays"][-1]))
-                        + struct.pack("<4f", 7, 7, 7, 7))
+    elif which == "trailing-array-bytes":
+        # 16 bytes, one more head.b, past the arrays the config fixes
+        bad.write_bytes(checkpoint + struct.pack("<4f", 7, 7, 7, 7))
     else:
         edit = {
             "tokenizer-unknown-key": lambda h: h["tokenizer"].update(lowercsae=True),
@@ -523,9 +534,6 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
             "model-heads-indivisible":
                 lambda h: h["model"].update(hidden_size=64, num_heads=3),
             "tokenizer-vocab-zero": lambda h: h["tokenizer"].update(vocab_size=0),
-            # the index alone: the data still holds tok_emb first
-            "arrays-swapped":
-                lambda h: h.update(arrays=[h["arrays"][1], h["arrays"][0], *h["arrays"][2:]]),
         }[which]
         bad.write_bytes(with_header(checkpoint, edit))
     code = run(["predict", "--checkpoint", bad, "--vocab", trained / "vocab.txt",
@@ -536,24 +544,19 @@ def test_bad_model_file_exits_2(trained, nb_model, tmp_path, capsys, which):
 
 
 def test_header_claiming_huge_layer_count_exits_2(trained, tmp_path):
-    """The header's array list is checked against a config of 10**30 layers
-    without building an entry per layer. The command runs in a child process
-    capped at 2 GiB of address space, so a loader that does build them fails
-    here with a MemoryError instead of exhausting the machine."""
+    """A config of 10**30 layers is read without building an entry per layer.
+    The command runs in a child process capped at 2 GiB of address space, so
+    a loader that does build them fails here with a MemoryError instead of
+    exhausting the machine."""
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(with_header((trained / "checkpoint.ckpt").read_bytes(),
                                 lambda h: h["model"].update(num_layers=10**30)))
-    cap = 2 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "moodlyrics.cli", "predict", "--checkpoint", str(bad),
-         "--vocab", str(trained / "vocab.txt"), "--lyrics", "ভালোবাসা প্রেম"],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": str(Path(moodlyrics.__file__).parents[1]),
-             "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
-    assert_one_error_line(proc.returncode, proc.stderr)
-    assert str(bad) in proc.stderr
+    proc = cli_child(["predict", "--checkpoint", bad, "--vocab", trained / "vocab.txt",
+                      "--lyrics", "ভালোবাসা প্রেম"], 2048,
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=300)
+    assert_one_error_line(proc.returncode, err)
+    assert str(bad) in err
 
 
 @pytest.mark.parametrize(
@@ -566,18 +569,13 @@ def test_model_too_large_for_memory_exits_2(corpus_csv, tmp_path, settings, cap_
     """An embedding table of 10**8 columns cannot be allocated; a model of
     50.7M parameters (193 MiB) can, but its optimizer state cannot. The
     command runs in a child process with its address space capped, as above."""
-    cap = cap_mib << 20
     sets = [arg for setting in settings for arg in ("--set", setting)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "moodlyrics.cli", "train", "--input", str(corpus_csv),
-         "--model", "bert", *map(str, BERT_FLAGS), *sets, "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": str(Path(moodlyrics.__file__).parents[1]),
-             "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
-    assert_one_error_line(proc.returncode, proc.stderr)
-    assert proc.stderr.startswith("error: out of memory: ")
+    proc = cli_child(["train", "--input", corpus_csv, "--model", "bert", *BERT_FLAGS, *sets,
+                      "--out", tmp_path / "o"], cap_mib,
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=300)
+    assert_one_error_line(proc.returncode, err)
+    assert err.startswith("error: out of memory: ")
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -781,10 +779,11 @@ def with_array_value(checkpoint: bytes, name: str, value: float) -> bytes:
     """``checkpoint`` with the first float32 of array ``name`` set to ``value``."""
     header_len = struct.unpack("<II", checkpoint[4:12])[1]
     offset = 12 + header_len
-    for entry in json.loads(checkpoint[12 : 12 + header_len])["arrays"]:
-        if entry["name"] == name:
+    config = ModelConfig(**json.loads(checkpoint[12 : 12 + header_len])["model"])
+    for array, shape in param_shapes(config).items():
+        if array == name:
             break
-        offset += 4 * math.prod(entry["shape"])
+        offset += 4 * math.prod(shape)
     return checkpoint[:offset] + struct.pack("<f", value) + checkpoint[offset + 4 :]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import struct
 import tracemalloc
@@ -14,6 +15,7 @@ from moodlyrics.errors import MoodlyricsError
 from moodlyrics.model import (
     EVAL_BATCH,
     ModelConfig,
+    Parameters,
     backward,
     classify,
     forward,
@@ -703,6 +705,37 @@ class TestCheckpoint:
         path.write_bytes(data)
         with pytest.raises(MoodlyricsError, match=message):
             load_checkpoint(path)
+
+    def test_array_order_comes_from_the_config(self, tiny_params, tok_config, tmp_path):
+        """An ``arrays`` dict in reverse order writes the same file, which
+        loads with equal arrays in the config's order."""
+        params32 = init_model(tiny_params.config, dtype=np.float32)
+        reversed32 = Parameters(params32.config, dict(reversed(params32.arrays.items())))
+        path = save_checkpoint(tmp_path / "r.ckpt", reversed32, "h", tok_config)
+        in_order = save_checkpoint(tmp_path / "m.ckpt", params32, "h", tok_config)
+        assert path.read_bytes() == in_order.read_bytes()
+        loaded, _, _ = load_checkpoint(path)
+        assert list(loaded.arrays) == list(model.param_shapes(params32.config))
+        for name in params32.arrays:
+            assert np.array_equal(loaded[name], params32[name])
+
+    def test_loads_a_header_with_the_old_index_keys(self, tiny_params, tok_config, tmp_path):
+        """Files whose header also carries ``format``, ``version`` and an
+        ``arrays`` index, as earlier versions wrote, still load."""
+        params32 = init_model(tiny_params.config, dtype=np.float32)
+        data = save_checkpoint(tmp_path / "m.ckpt", params32, "h", tok_config).read_bytes()
+        header_len = struct.unpack("<II", data[4:12])[1]
+        header = json.loads(data[12 : 12 + header_len])
+        header.update(format="moodlyrics-checkpoint", version=1, arrays=[
+            {"name": name, "shape": list(shape)}
+            for name, shape in model.param_shapes(params32.config).items()
+        ])
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        old = checkpoint_container(blob) + data[12 + header_len :]
+        loaded, vocab_hash, tok = load_checkpoint(tmp_path / "old.ckpt", data=old)
+        assert (vocab_hash, tok, loaded.config) == ("h", tok_config, params32.config)
+        for name in params32.arrays:
+            assert np.array_equal(loaded[name], params32[name])
 
     def test_rejects_truncation(self, tiny_params, tok_config, tmp_path):
         params32 = init_model(tiny_params.config, dtype=np.float32)
